@@ -15,9 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import infinitesimal, lattice, models, okounkov, seshadri, zariski
-from .errors import ParseError, SurfposError, UnknownSymbol
+from .errors import ParseError, SchemaError, SurfposError, UnknownSymbol
 from .infinitesimal import BlowupSpec, GENERIC_POINT, InfFlagSpec
 from .lattice import PointSpec, SurfaceModel
+from .models import _dec_frac, _dec_int
 from .okounkov import NOPolygon
 from .scalars import Quad
 
@@ -247,11 +248,11 @@ def _resolve_point(arg, model: SurfaceModel, flag_curve: str) -> PointSpec:
             raise SurfposError(
                 f"point {name!r} lies on {ps.on_curve}, not {flag_curve}")
         return ps
-    doc = json.loads(Path(arg).read_text(encoding="utf-8"))
-    return PointSpec(on_curve=doc.get("on_curve", flag_curve),
-                     local_mults={str(k): int(v) for k, v in
-                                  doc.get("local_mults", {}).items()},
-                     generic=bool(doc.get("generic", False)))
+    return _read_spec(arg, lambda doc: PointSpec(
+        on_curve=doc.get("on_curve", flag_curve),
+        local_mults={str(k): _dec_int(v) for k, v in
+                     doc.get("local_mults", {}).items()},
+        generic=bool(doc.get("generic", False))))
 
 
 def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
@@ -261,15 +262,25 @@ def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
         return GENERIC_POINT
     if arg == "generic":
         return GENERIC_POINT
-    doc = json.loads(Path(arg).read_text(encoding="utf-8"))
-    return BlowupSpec(
-        mults={str(k): int(v) for k, v in doc.get("mults", {}).items()},
-        extra_curves=tuple((str(c["name"]), tuple(int(x) for x in c["class"]))
-                           for c in doc.get("extra_curves", [])),
+    return _read_spec(arg, lambda doc: BlowupSpec(
+        mults={str(k): _dec_int(v) for k, v in doc.get("mults", {}).items()},
+        extra_curves=tuple(
+            (str(c["name"]), tuple(_dec_int(x) for x in c["class"]))
+            for c in doc.get("extra_curves", [])),
         extra_complete=bool(doc.get("extra_complete", False)),
         exceptional_name=doc.get("exceptional_name"),
         renames={str(k): str(v) for k, v in doc.get("renames", {}).items()},
-    )
+    ))
+
+
+def _read_spec(path, decode):
+    """Decode a JSON spec file as strictly as a model document: bad JSON,
+    a missing key, a wrong type or a non-integer count is a SchemaError."""
+    doc = models._load_json(path)
+    try:
+        return decode(doc)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise SchemaError(f"malformed spec document: {e}") from None
 
 
 def _resolve_y(arg) -> InfFlagSpec:
@@ -423,7 +434,7 @@ def run(argv=None) -> int:
         emit({"m": seshadri.free_multiple(cone, b, model)}, args)
     elif cmd == "genericbound":
         query = seshadri.GenericBoundQuery(
-            degree=Fraction(args.deg), target=Fraction(args.target),
+            degree=_dec_frac(args.deg), target=_dec_frac(args.target),
             exclude_q1=args.exclude_q1)
         res = seshadri.generic_seshadri_bound(query)
         emit({"holds": res.holds,

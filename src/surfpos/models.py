@@ -317,7 +317,7 @@ def model_from_dict(doc: dict) -> SurfaceModel:
         raise SchemaError(f"unsupported schema_version "
                           f"{doc.get('schema_version')!r}")
     try:
-        rank = int(doc["rank"])
+        rank = _dec_int(doc["rank"])
         basis = tuple(str(x) for x in doc["basis"])
         gram = tuple(tuple(_dec_int(x) for x in row) for row in doc["gram"])
         curves = tuple(
@@ -335,14 +335,14 @@ def model_from_dict(doc: dict) -> SurfaceModel:
         points = {
             str(name): PointSpec(
                 on_curve=str(p["on_curve"]),
-                local_mults={str(k): int(v)
+                local_mults={str(k): _dec_int(v)
                              for k, v in p.get("local_mults", {}).items()},
                 generic=bool(p.get("generic", True)))
             for name, p in doc.get("points", {}).items()
         }
         families = tuple(
             GenericFamily(cls=tuple(_dec_int(x) for x in f["class"]),
-                          mult=int(f["mult"]),
+                          mult=_dec_int(f["mult"]),
                           name_hint=str(f["name_hint"]))
             for f in doc.get("generic_families", []))
         metadata = {str(k): str(v)
@@ -367,12 +367,15 @@ def dumps_model(model: SurfaceModel) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
 
 
-def load(path) -> SurfaceModel:
+def _load_json(path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
-    return model_from_dict(doc)
+
+
+def load(path) -> SurfaceModel:
+    return model_from_dict(_load_json(path))
 
 
 def resolve_model(spec: str) -> SurfaceModel:

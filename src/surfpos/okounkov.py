@@ -9,8 +9,10 @@ Between walls the negative-part support is constant, so the coefficients of
 N_t solve a fixed Gram system with right-hand side affine in t; alpha and
 beta are therefore piecewise affine and the whole polygon is computed by an
 exact chamber walk.  Walls occur where P_t stops pairing positively with a
-new curve; the walk terminates where (P_t)^2 vanishes, the only breakpoint
-that may be a quadratic irrational.
+new curve.  A wall is crossed by the decomposition fixpoint itself, run on
+D - sC just past the wall from the current support
+(:func:`surfpos.zariski.chamber`).  The walk terminates where (P_t)^2
+vanishes, the only breakpoint that may be a quadratic irrational.
 """
 
 from __future__ import annotations
@@ -82,165 +84,20 @@ class Classification(enum.Enum):
 
 
 # ----------------------------------------------------------------------
-# chamber walk internals
+# chamber walk
 # ----------------------------------------------------------------------
 
-class _Chamber:
-    """Affine Zariski data on an interval of the walk."""
-
-    def __init__(self, model: SurfaceModel, d: DivisorClass,
-                 flag: DivisorClass, support: tuple[str, ...]):
-        self.model = model
-        self.support = support
-        classes = [model.curve_class(n) for n in support]
-        if support:
-            gram = model.gram_submatrix(support)
-            if not scalars.is_negative_definite(gram):
-                raise ModelInconsistency(
-                    f"support {support} has non-negative-definite Gram matrix")
-            rhs0 = [pairing(model, d, c) for c in classes]
-            rhs1 = [-pairing(model, flag, c) for c in classes]
-            sol0 = scalars.solve_linear(gram, rhs0)
-            sol1 = scalars.solve_linear(gram, rhs1)
-        else:
-            sol0 = sol1 = ()
-        self.coeffs: dict[str, Affine] = {
-            n: (sol0[i], sol1[i]) for i, n in enumerate(support)}
-        # positive part P_t = P0 + t * P1
-        p0 = d
-        p1 = vector([-x for x in flag])
-        for n, c in zip(support, classes):
-            a0, a1 = self.coeffs[n]
-            p0 = scalars.vec_sub(p0, scalars.vec_scale(a0, c))
-            p1 = scalars.vec_sub(p1, scalars.vec_scale(a1, c))
-        self.p0, self.p1 = p0, p1
-
-    def coeff(self, name: str) -> Affine:
-        return self.coeffs.get(name, (Fraction(0), Fraction(0)))
-
-    def pair_affine(self, cls: DivisorClass) -> Affine:
-        return (pairing(self.model, self.p0, cls),
-                pairing(self.model, self.p1, cls))
-
-    def vol_quadratic(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(P_t)^2 as c2 t^2 + c1 t + c0."""
-        m = self.model
-        return (pairing(m, self.p1, self.p1),
-                2 * pairing(m, self.p0, self.p1),
-                pairing(m, self.p0, self.p0))
-
-
-def _nonneg_just_past(value, slope) -> bool:
-    return value > 0 or (value == 0 and slope >= 0)
-
-
-def _transition(model: SurfaceModel, d: DivisorClass, flag: DivisorClass,
-                flag_name: str, support: tuple[str, ...],
-                t: Fraction) -> _Chamber:
-    """Support for the chamber immediately to the right of t.
-
-    Curves whose pairing with the current positive part vanishes at t are
-    offered to the fixpoint together; a candidate subset is valid when all
-    negative-part coefficients and all remaining pairings stay non-negative
-    just past the wall.  The valid subset is unique (uniqueness of Zariski
-    decompositions); the greedy slope-dropping loop finds it in practice and
-    an exhaustive subset sweep backs it up.
-    """
-    base = _Chamber(model, d, flag, support)
-    offered = []
-    for c in model.curves:
-        if c.name in support:
-            continue
-        val = _ev(base.pair_affine(model.curve_class(c.name)), t)
-        if val == 0:
-            offered.append(c.name)
-        elif val < 0:
-            raise ModelInconsistency(
-                f"pairing with {c.name} negative at wall t={t}")
-    if not offered:
-        return base
-
-    def try_subset(extra: list[str]) -> Optional[_Chamber]:
-        names = [c.name for c in model.curves
-                 if c.name in support or c.name in extra]
-        try:
-            ch = _Chamber(model, d, flag, tuple(names))
-        except (ModelInconsistency, scalars.SingularMatrix):
-            return None
-        for n in names:
-            c0, c1 = ch.coeff(n)
-            if not _nonneg_just_past(_ev((c0, c1), t), c1):
-                return None
-        for c in model.curves:
-            if c.name in names:
-                continue
-            a = ch.pair_affine(model.curve_class(c.name))
-            if not _nonneg_just_past(_ev(a, t), a[1]):
-                return None
-        return ch
-
-    # greedy: offer everything, drop offered curves whose coefficient
-    # fails to become positive, repeat
-    extra = list(offered)
-    for _ in range(len(offered) + 1):
-        ch = try_subset(extra)
-        if ch is not None:
-            active = [n for n in extra
-                      if not (ch.coeff(n)[1] <= 0 and _ev(ch.coeff(n), t) == 0)]
-            if set(active) != set(extra):
-                reduced = try_subset(active)
-                if reduced is not None and _check_flag(reduced, flag_name, t):
-                    return reduced
-                extra = active
-                continue
-            if _check_flag(ch, flag_name, t):
-                return ch
-        if not extra:
-            break
-        # drop the offered curve with the most negative slope
-        drop = None
-        probe = _Chamber(model, d, flag,
-                         tuple(c.name for c in model.curves
-                               if c.name in support or c.name in extra)) \
-            if _gram_ok(model, support, extra) else None
-        if probe is not None:
-            worst = None
-            for n in extra:
-                s = probe.coeff(n)[1]
-                if worst is None or s < worst[0]:
-                    worst = (s, n)
-            drop = worst[1]
-        else:
-            drop = extra[-1]
-        extra = [n for n in extra if n != drop]
-    # exhaustive fallback over subsets of the offered curves
-    from itertools import combinations
-    for size in range(len(offered), -1, -1):
-        for combo in combinations(offered, size):
-            ch = try_subset(list(combo))
-            if ch is not None and _check_flag(ch, flag_name, t):
-                return ch
-    raise ModelInconsistency(f"no consistent chamber to the right of t={t}")
-
-
-def _gram_ok(model, support, extra) -> bool:
-    names = [c.name for c in model.curves
-             if c.name in support or c.name in extra]
-    try:
-        return scalars.is_negative_definite(model.gram_submatrix(names))
-    except Exception:
-        return False
-
-
-def _check_flag(ch: _Chamber, flag_name: str, t: Fraction) -> bool:
-    if flag_name in ch.support:
-        c0, c1 = ch.coeff(flag_name)
-        if _ev((c0, c1), t) > 0 or c1 > 0:
-            raise FlagCurveReenters(
-                f"flag curve {flag_name} acquires a positive coefficient "
-                f"past t={t}; model data is inconsistent with the flag")
-        return False
-    return True
+def _transition(model: SurfaceModel, d: DivisorClass, flag_curve: str,
+                support: tuple[str, ...], t: Fraction) -> zariski.Chamber:
+    """The chamber of D - sC immediately to the right of the wall s = t,
+    grown by the decomposition fixpoint from the current support."""
+    slope = vector([-x for x in model.curve_class(flag_curve)])
+    chamber = zariski.chamber(model, d, slope, t, support)
+    if flag_curve in chamber.support:
+        raise FlagCurveReenters(
+            f"flag curve {flag_curve} enters the negative part past t={t}; "
+            "model data is inconsistent with the flag")
+    return chamber
 
 
 def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
@@ -250,41 +107,37 @@ def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
     if not zariski.is_big(model, d):
         raise NotBig("polygon needs a big class")
     flag = model.curve_class(flag_curve)
-    start = zariski.zariski_decompose(model, d)
-    nu = start.N_coeffs.get(flag_curve, Fraction(0))
+    # D is big, so pseudo-effective: the fixpoint alone decomposes it
+    start = zariski.chamber(model, d)
+    nu = start.coeffs.get(flag_curve, (Fraction(0), 0))[0]
     support = tuple(n for n in start.support if n != flag_curve)
-    chamber = _transition(model, d, flag, flag_curve, support, nu)
+    chamber = _transition(model, d, flag_curve, support, nu)
 
     pieces: list[PolygonPiece] = []
     t0 = nu
     guard = len(model.curves) * (model.rank + 2) + 4
     for _ in range(guard):
-        walls: list[Fraction] = []
-        for c in model.curves:
-            if c.name in chamber.support:
-                continue
-            a = chamber.pair_affine(model.curve_class(c.name))
-            v0 = _ev(a, t0)
-            if v0 > 0 and a[1] < 0:
-                walls.append(-a[0] / a[1])
-        for n in chamber.support:
-            # coefficients are non-decreasing on consistent data; a zero
-            # crossing is treated as a wall so the transition can diagnose it
-            c0, c1 = chamber.coeff(n)
-            if c1 < 0 and _ev((c0, c1), t0) > 0:
-                walls.append(-c0 / c1)
-        c2, c1, c0 = chamber.vol_quadratic()
+        # walls: P_t . C drops to 0 for a curve outside the support; a
+        # coefficient crossing 0 (inconsistent data) is a wall too, so that
+        # the fixpoint past it diagnoses it
+        walls = [-v0 / v1 for v0, v1 in (*chamber.pairings.values(),
+                                         *chamber.coeffs.values())
+                 if v1 < 0 and _ev((v0, v1), t0) > 0]
+        p0, p1 = chamber.p0, chamber.p1
         mu_candidate: Optional[ExactScalar]
         try:
-            mu_candidate = positive_quadratic_root(c2, c1, c0, t0)
+            # (P_t)^2 as a quadratic in t
+            mu_candidate = positive_quadratic_root(
+                pairing(model, p1, p1), 2 * pairing(model, p0, p1),
+                pairing(model, p0, p0), t0)
         except NoRealRoot:
             mu_candidate = None
         next_wall = min(walls) if walls else None
-        alpha = (sum((chamber.coeff(n)[0] * point.mult(n)
-                      for n in chamber.support), Fraction(0)),
-                 sum((chamber.coeff(n)[1] * point.mult(n)
-                      for n in chamber.support), Fraction(0)))
-        blen = chamber.pair_affine(flag)
+        alpha = (sum((c0 * point.mult(n)
+                      for n, (c0, _) in chamber.coeffs.items()), Fraction(0)),
+                 sum((c1 * point.mult(n)
+                      for n, (_, c1) in chamber.coeffs.items()), Fraction(0)))
+        blen = (pairing(model, p0, flag), pairing(model, p1, flag))
         beta = (alpha[0] + blen[0], alpha[1] + blen[1])
         if mu_candidate is not None and (next_wall is None
                                          or mu_candidate <= next_wall):
@@ -297,8 +150,8 @@ def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
                 "chamber walk found neither a wall nor a volume root")
         pieces.append(PolygonPiece(t0, next_wall, alpha, beta,
                                    chamber.support))
-        chamber = _transition(model, d, flag, flag_curve,
-                              chamber.support, next_wall)
+        chamber = _transition(model, d, flag_curve, chamber.support,
+                              next_wall)
         if not set(pieces[-1].support) <= set(chamber.support):
             raise ModelInconsistency("negative-part support decreased")
         t0 = next_wall

@@ -6,8 +6,10 @@ decisions are made in exact rational arithmetic; floats never enter any
 decision path (they only appear as display approximations).
 
 Matrices and vectors are plain tuples of Fractions.  The surfaces handled
-by this package have Picard rank at most nine, so naive Gaussian
-elimination over the rationals is entirely adequate.
+by this package have Picard rank at most nine, so naive elimination over
+the rationals is entirely adequate: one Gauss-Jordan row reduction serves
+solving, determinants, rank and inverses, and one symmetric congruence
+gives the inertia of a form, which also decides negative definiteness.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ class Quad:
 
     def __setattr__(self, *args):
         raise AttributeError("Quad is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not attribute setting
+        return Quad, (self.a, self.b, self.d)
 
     # -- arithmetic -------------------------------------------------
 
@@ -224,13 +230,6 @@ def scalar_sign(x: ExactScalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_fraction(x: ExactScalar) -> Fraction:
-    """Demand rationality; raises if the value has an irrational part."""
-    if isinstance(x, Quad):
-        raise MixedRadicands(f"expected rational value, got {x!r}")
-    return _frac(x)
-
-
 def positive_quadratic_root(c2, c1, c0, lower=0) -> ExactScalar:
     """Smallest root of c2*t^2 + c1*t + c0 = 0 that is >= ``lower``.
 
@@ -296,63 +295,26 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 
 
-def solve_linear(g: Sequence[Sequence], rhs: Sequence) -> Vector:
-    """Exact solution of the square system g * x = rhs.
+def _row_reduce(a: list[list[Fraction]], ncols: int) -> tuple[int, Fraction]:
+    """Gauss-Jordan elimination of the rows ``a`` in place, pivoting on
+    their first ``ncols`` columns (first nonzero entry of each column).
 
-    Gaussian elimination with first-nonzero pivoting; over the rationals
-    there is no stability concern, only a singularity check.
+    Returns the rank and the signed product of the pivots, which is the
+    determinant when those columns form a square block of full rank.  Over
+    the rationals there is no stability concern, only a singularity check.
     """
-    n = len(g)
-    if any(len(row) != n for row in g) or len(rhs) != n:
-        raise DimensionMismatch("solve_linear needs a square system")
-    aug = [list(vector(row)) + [_frac(b)] for row, b in zip(g, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("zero pivot column")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
-
-
-def determinant(g: Sequence[Sequence]) -> Fraction:
-    n = len(g)
-    a = [list(vector(row)) for row in g]
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    a = [list(vector(row)) for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
+    m = len(a)
+    r, det = 0, Fraction(1)
+    for col in range(ncols):
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][col]
         inv = 1 / a[r][col]
         a[r] = [x * inv for x in a[r]]
         for i in range(m):
@@ -360,35 +322,53 @@ def rank(rows: Sequence[Sequence]) -> int:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
-        if r == m:
-            break
-    return r
+    return r, det
+
+
+def _square_rows(g: Sequence[Sequence], what: str) -> list[list[Fraction]]:
+    a = [list(vector(row)) for row in g]
+    if any(len(row) != len(a) for row in a):
+        raise DimensionMismatch(f"{what} needs a square matrix")
+    return a
+
+
+def solve_linear(g: Sequence[Sequence], rhs: Sequence) -> Vector:
+    """Exact solution of the square system g * x = rhs."""
+    a = _square_rows(g, "solve_linear")
+    if len(rhs) != len(a):
+        raise DimensionMismatch("solve_linear needs a square system")
+    for row, b in zip(a, rhs):
+        row.append(_frac(b))
+    if _row_reduce(a, len(a))[0] < len(a):
+        raise SingularMatrix("zero pivot column")
+    return tuple(row[-1] for row in a)
+
+
+def determinant(g: Sequence[Sequence]) -> Fraction:
+    a = _square_rows(g, "determinant")
+    r, det = _row_reduce(a, len(a))
+    return det if r == len(a) else Fraction(0)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    a = [list(vector(row)) for row in rows]
+    return _row_reduce(a, len(a[0]))[0] if a else 0
 
 
 def inverse(g: Sequence[Sequence]) -> Matrix:
-    n = len(g)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_linear(g, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    a = _square_rows(g, "inverse")
+    n = len(a)
+    for i, row in enumerate(a):
+        row.extend(Fraction(int(i == j)) for j in range(n))
+    if _row_reduce(a, n)[0] < n:
+        raise SingularMatrix("zero pivot column")
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def is_negative_definite(g: Sequence[Sequence]) -> bool:
-    """Sylvester test: (-1)^k det(G_k) > 0 for all leading minors."""
-    m = matrix(g)
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatch("definiteness needs a square matrix")
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in m[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    """A symmetric rational form is negative definite iff its inertia is
+    (0, n, 0)."""
+    return signature(g) == (0, len(g), 0)
 
 
 def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -398,10 +378,8 @@ def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
     nonzero off-diagonal entry is repaired by adding the partner row/column,
     which preserves inertia.
     """
-    m = [list(vector(row)) for row in g]
+    m = _square_rows(g, "signature")
     n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatch("signature needs a square matrix")
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:

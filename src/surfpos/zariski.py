@@ -4,15 +4,16 @@ The decomposition D = P + N is computed by the classical fixpoint: seed the
 support with every declared curve D pairs negatively with, solve the Gram
 system for the negative-part coefficients, and re-seed with any curve the
 candidate positive part still pairs negatively with, until stable.  With a
-complete curve list this terminates in at most #curves rounds and the
-result is the unique decomposition.
+complete curve list the result is the unique decomposition.  Run on
+d + s*slope with signs read just right of s = t, the same fixpoint gives
+the chamber of a Newton-Okounkov walk past a wall (:func:`chamber`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
 from .errors import (
@@ -56,38 +57,70 @@ def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
     return cone_contains(model.effective_gens(), model.divisor(d))
 
 
-def _fixpoint(model: SurfaceModel, d: DivisorClass) -> tuple[DivisorClass, dict[str, Fraction]]:
-    """Run the decomposition fixpoint; returns (P, coefficients)."""
-    names = [c.name for c in model.curves]
+class Chamber(NamedTuple):
+    """Zariski data of d + s*slope just right of s = t: N is the sum of
+    (c0 + s*c1) * C over ``support`` (in curve order) with coeffs[C] =
+    (c0, c1), P = p0 + s*p1, and ``pairings`` holds P.C as (c0, c1) for the
+    other curves.  With no slope, p1 is None and every c1 is 0."""
+
+    support: tuple[str, ...]
+    coeffs: dict[str, tuple[Fraction, Fraction]]
+    pairings: dict[str, tuple[Fraction, Fraction]]
+    p0: DivisorClass
+    p1: Optional[DivisorClass]
+
+
+def chamber(model: SurfaceModel, d: DivisorClass,
+            slope: Optional[DivisorClass] = None, t: Fraction = Fraction(0),
+            support: Sequence[str] = ()) -> Chamber:
+    """Bauer's fixpoint for d + s*slope just right of s = t.
+
+    Starting from ``support``, solve the Gram system of the support for the
+    negative-part coefficients, add every curve the candidate positive part
+    pairs negatively with, and repeat until none does.  Over Q(eps) with
+    s = t + eps, an affine quantity v0 + s*v1 is negative when
+    (v0 + t*v1, v1) is lexicographically negative, so the result is the
+    decomposition of d + (t+eps)*slope; with no slope it is that of d.
+    """
     classes = {c.name: model.divisor(c.cls) for c in model.curves}
-    support = [n for n in names if pairing(model, d, classes[n]) < 0]
-    coeffs: dict[str, Fraction] = {}
-    p = d
-    for _ in range(len(names) + 1):
-        if not support:
-            return d, {}
-        gram = model.gram_submatrix(support)
-        if not is_negative_definite(gram):
-            raise ModelInconsistency(
-                "support Gram matrix not negative definite for "
-                f"{support}; curve list is incomplete or wrong")
-        rhs = [pairing(model, d, classes[n]) for n in support]
-        sol = solve_linear(gram, rhs)
-        if any(a < 0 for a in sol):
-            raise ModelInconsistency(
-                f"negative coefficient in candidate negative part on {support}")
-        coeffs = dict(zip(support, sol))
-        p = d
-        for n, a in coeffs.items():
-            p = scalars.vec_sub(p, scalars.vec_scale(a, classes[n]))
-        entering = [n for n in names if n not in support
-                    and pairing(model, p, classes[n]) < 0]
+
+    def negative(v0, v1) -> bool:
+        v = v0 + t * v1 if v1 else v0
+        return v < 0 or (v == 0 and v1 < 0)
+
+    names = list(support)
+    while True:
+        coeffs: dict[str, tuple[Fraction, Fraction]] = {}
+        p0, p1 = d, slope
+        if names:
+            rows = [classes[n] for n in names]
+            gram = [[pairing(model, a, b) for b in rows] for a in rows]
+            if not is_negative_definite(gram):
+                raise ModelInconsistency(
+                    "support Gram matrix not negative definite for "
+                    f"{names}; curve list is incomplete or wrong")
+            sol0 = solve_linear(gram, [pairing(model, d, c) for c in rows])
+            sol1 = (solve_linear(gram, [pairing(model, slope, c) for c in rows])
+                    if slope is not None else (0,) * len(names))
+            for n, c, a0, a1 in zip(names, rows, sol0, sol1):
+                if negative(a0, a1):
+                    raise ModelInconsistency(
+                        f"negative coefficient in candidate negative part "
+                        f"on {names}")
+                coeffs[n] = (a0, a1)
+                p0 = scalars.vec_sub(p0, scalars.vec_scale(a0, c))
+                if slope is not None:
+                    p1 = scalars.vec_sub(p1, scalars.vec_scale(a1, c))
+        pairings = {n: (pairing(model, p0, c),
+                        pairing(model, p1, c) if slope is not None else 0)
+                    for n, c in classes.items() if n not in coeffs}
+        entering = [n for n, v in pairings.items() if negative(*v)]
         if not entering:
-            break
-        support += entering
-    else:
-        raise ModelInconsistency("decomposition fixpoint failed to stabilize")
-    return p, {n: a for n, a in coeffs.items() if a != 0}
+            order = tuple(n for n in classes
+                          if n in coeffs and coeffs[n] != (0, 0))
+            return Chamber(order, {n: coeffs[n] for n in order}, pairings,
+                           p0, p1)
+        names += entering
 
 
 def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
@@ -95,10 +128,10 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
     if not is_pseudo_effective(model, d):
         coords = ", ".join(str(x) for x in d)
         raise NotPseudoEffective(f"({coords}) is not in the effective cone")
-    p, coeffs = _fixpoint(model, d)
-    order = [c.name for c in model.curves if c.name in coeffs]
-    return ZariskiPair(P=p, N_coeffs={n: coeffs[n] for n in order},
-                       support=tuple(order),
+    ch = chamber(model, d)
+    return ZariskiPair(P=ch.p0,
+                       N_coeffs={n: a for n, (a, _) in ch.coeffs.items()},
+                       support=ch.support,
                        relative=not model.completeness_declared)
 
 
@@ -169,9 +202,7 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
             "the class is not big")
     if self_intersection(model, p) <= 0:
         raise NotBigNef("perturbation needs a big class")
-    inv = scalars.inverse(gram)
-    ones = vector([1] * len(null))
-    a = tuple(-x for x in scalars.mat_vec(inv, ones))
+    a = solve_linear(gram, [-1] * len(null))
     if any(x < 0 for x in a):
         raise ModelInconsistency("inverse Gram has a positive entry")
     direction = vector([0] * model.rank)

@@ -156,6 +156,51 @@ def test_cli_domain_error_json():
     assert json.loads(err3)["error"] == "unknown-model"
 
 
+def _example_doc_with_mult(mult):
+    from surfpos.models import model_to_dict
+    doc = model_to_dict(sp.builtin("example-interesting"))
+    doc["points"]["E1-on-E2"]["local_mults"]["E2"] = mult
+    return doc
+
+
+BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
+            "3H-E1-E2-E3", "--point"]
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["polygon", "--model", "builtin:bl3p2", "--divisor", "3H-E1",
+      "--flag-curve", "E1", "--point"], "{not json"),
+    (BAD_MULT, {"mults": {"E1": "1/2"}}),
+    (BAD_MULT, {"mults": {"E1": 1.5}}),
+    (BAD_MULT, {"mults": {"E1": 0.9}}),
+    (["polygon", "--model", "builtin:bl3p2", "--divisor", "3H-E1",
+      "--flag-curve", "E1", "--point"],
+     {"on_curve": "E1", "local_mults": {"L12": 1.5}, "generic": False}),
+    (["polygon", "--divisor", "2E1+E2+E3", "--flag-curve", "E1", "--point",
+      "named:E1-on-E2", "--model"], _example_doc_with_mult(1.5)),
+    (["infinitesimal", "--model", "builtin:bl1p2", "--divisor", "H",
+      "--point"], {"mults": {"E": 1}, "extra_curves": [{"class": [1, -1, -1]}],
+                   "extra_complete": True}),
+    (["genericbound", "--deg", "abc", "--target", "1"], None),
+    (["genericbound", "--deg", "5", "--target", "1/0"], None),
+], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
+        "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
+        "deg-abc", "target-1/0"])
+def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
+    """Malformed input files and arguments exit 1 with a JSON error object;
+    an exception escaping main() would fail the test instead.  A mult of
+    1.5 or 0.9, in a spec or a model file, is an error, not a point of
+    multiplicity 1 or 0."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        argv = argv + [str(path)]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
 def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         run_cli(["polygon", "--model", "builtin:p2"])  # missing args

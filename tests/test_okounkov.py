@@ -18,9 +18,9 @@ from surfpos.okounkov import (
     vertical_slice,
 )
 from conftest import (
-    assert_grid_oracle,
     grid_points,
     matrix_configs,
+    oracle_alpha_beta,
     seeded_rng,
 )
 
@@ -130,10 +130,29 @@ def test_vertical_slice_example():
         vertical_slice(poly, Fraction(3))
 
 
-def test_grid_oracle_full_matrix():
-    """Chamber-walk alpha/beta equal independent per-t decompositions on
-    the 1/64 grid, exactly."""
-    assert_grid_oracle(matrix_configs())
+def test_breakpoint_oracle_full_matrix():
+    """Chamber-walk alpha/beta equal independent per-t decompositions,
+    exactly, at every rational breakpoint and at one rational t inside
+    every piece, so a wall the walk misses shows however close it is."""
+    b6 = sp.builtin("bl6p2")
+    configs = matrix_configs() + [
+        ("bl6p2", b6, b6.divisor([-x for x in b6.canonical]), "E1",
+         PointSpec(on_curve="E1", generic=True))]
+    for name, model, d, flag_curve, point in configs:
+        poly = okounkov_polygon(model, d, flag_curve, point)
+        ts = {poly.nu}
+        for p in poly.pieces:
+            if isinstance(p.t_hi, Quad):
+                inside = (p.t_lo + Fraction(float(p.t_hi))) / 2
+            else:
+                ts.add(p.t_hi)
+                inside = (p.t_lo + p.t_hi) / 2
+            assert p.t_lo < inside < p.t_hi, (name, d, flag_curve)
+            ts.add(inside)
+        for t in ts:
+            assert (poly.alpha(t), poly.beta(t)) == \
+                oracle_alpha_beta(model, d, flag_curve, point, t), \
+                (name, d, flag_curve, t)
 
 
 def test_area_equals_half_volume_on_matrix():
@@ -349,16 +368,15 @@ def test_generic_polygons_flag_independent_within_class():
 
 
 def test_flag_reentry_guard():
-    # the walk refuses support states where the flag curve itself carries
-    # a positive negative-part coefficient past nu (corrupt model data)
+    # the walk refuses a chamber in which the flag curve itself enters the
+    # negative part past the wall (corrupt model data): 3H + E pairs to -1
+    # with E, so the fixpoint run just right of t = 0 from an empty support
+    # takes E in
     from surfpos import okounkov as ok
     from surfpos.errors import FlagCurveReenters
     b1 = sp.builtin("bl1p2")
-    flag = b1.curve_class("E")
-    ch = ok._Chamber(b1, b1.divisor((3, 1)), flag, ("E",))
-    assert ch.coeff("E") == (Fraction(1), Fraction(-1))
     with pytest.raises(FlagCurveReenters):
-        ok._check_flag(ch, "E", Fraction(0))
+        ok._transition(b1, b1.divisor((3, 1)), "E", (), Fraction(0))
 
 
 def test_largest_simplex_and_inverted():

@@ -34,6 +34,20 @@ def test_quad_arithmetic_field_ops():
     assert 2 * s - s == s
 
 
+def test_quad_pickle_and_deepcopy():
+    import copy
+    import pickle
+    from surfpos.okounkov import NOPolygon, PolygonPiece
+    v = quad(0, 1, 2)
+    back = pickle.loads(pickle.dumps(v))
+    assert isinstance(back, Quad) and back == v and back.d == 2
+    poly = NOPolygon(nu=Fraction(0), mu=v, flag_curve="C",
+                     pieces=(PolygonPiece(Fraction(0), v, (0, 0), (1, 1),
+                                          ()),),
+                     vertices=((Fraction(0), Fraction(0)), (v, 0)))
+    assert copy.deepcopy(poly) == poly
+
+
 def test_mixed_radicands_rejected():
     with pytest.raises(MixedRadicands):
         _ = quad(0, 1, 2) + quad(0, 1, 3)
@@ -109,6 +123,22 @@ def test_solve_linear_random_roundtrip():
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrix):
         sc.solve_linear([[1, 1], [2, 2]], [1, 1])
+
+
+def test_determinant_rank_inverse():
+    # a row swap flips the sign; a dependent row drops the rank
+    assert sc.determinant([[0, 1], [1, 0]]) == -1
+    assert sc.determinant([[0, 2, 1], [1, 0, 0], [3, 1, 2]]) == -3
+    assert sc.determinant([[1, 2], [2, 4]]) == 0
+    assert sc.rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    assert sc.rank([[0, 0], [0, 0]]) == 0
+    g = [[-1, 1, 1], [1, -2, 0], [1, 0, -1]]
+    inv = sc.inverse(g)
+    assert sc.inverse(inv) == sc.matrix(g)
+    assert all(sc.mat_vec(sc.matrix(g), col) == e for col, e in zip(
+        zip(*inv), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    with pytest.raises(SingularMatrix):
+        sc.inverse([[1, 2], [2, 4]])
 
 
 def test_negative_definite():
