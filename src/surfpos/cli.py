@@ -363,14 +363,15 @@ def run(argv=None) -> int:
     if cmd == "zariski":
         d = parse_divisor(args.divisor, model)
         pair = zariski.zariski_decompose(model, d)
+        vol = zariski.self_intersection(model, pair.P)
         emit({"P": enc_vec(pair.P),
               "N": {n: enc_scalar(a) for n, a in pair.N_coeffs.items()},
               "support": list(pair.support),
               "relative": pair.relative,
-              "volume": enc_scalar(zariski.volume(model, d)),
+              "volume": enc_scalar(vol),
               "nef": zariski.is_nef(model, d),
               "ample": zariski.is_ample(model, d),
-              "big": zariski.is_big(model, d)}, args)
+              "big": vol > 0}, args)
     elif cmd == "loci":
         d = parse_divisor(args.divisor, model)
         rep = zariski.loci(model, d)

@@ -248,11 +248,6 @@ def mu_prime(model: SurfaceModel, d: Sequence,
     return okounkov.mu_sup(bm, pullback(d), exc)
 
 
-def _neg_through(model: SurfaceModel, d, x: BlowupSpec) -> list[str]:
-    pair = zariski.zariski_decompose(model, d)
-    return [n for n in pair.support if x.mults.get(n, 0) > 0]
-
-
 def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
     """Strict transforms actually meeting the exceptional curve."""
     e = bm.curve_class(exc)
@@ -264,25 +259,27 @@ def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
 def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
-    infinitesimal polygon at x; independent of the point y on E.
-
-    Computed at a generic y and re-verified at every special direction.
-    """
+    infinitesimal polygon at x; independent of the point y on E."""
     d = model.divisor(d)
-    if not zariski.is_big(model, d):
+    pair = zariski.big_decomposition(model, d)
+    if pair is None:
         raise NotBig("xi needs a big class")
-    through = _neg_through(model, d, x)
+    through = zariski.neg_curves_through(model, pair, x.mults)
     if through:
         raise PointInNegLocus(f"point lies on negative curves {through}")
+    return _xi_off_neg_locus(model, d, x)
+
+
+def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass,
+                      x: BlowupSpec) -> ExactScalar:
+    """xi of a big class at a point off its negative locus.  Computed at a
+    generic y and re-verified at every special direction, all on one walk."""
     bm, pullback, exc = blow_up(model, x)
-    dd = pullback(d)
-    poly = okounkov.okounkov_polygon(bm, dd, exc,
-                                     PointSpec(on_curve=exc, generic=True))
-    value = okounkov.largest_inverted_simplex(poly)
+    walk = okounkov.chamber_walk(bm, pullback(d), exc)
+    value = okounkov.largest_inverted_simplex(
+        walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
     for name in exceptional_directions(bm, exc):
-        special = okounkov.okounkov_polygon(
-            bm, dd, exc,
-            PointSpec(on_curve=exc, local_mults={name: 1}, generic=False))
+        special = walk.polygon(_flag_point(bm, exc, InfFlagSpec(on=name)))
         if okounkov.largest_inverted_simplex(special) != value:
             raise ModelInconsistency(
                 f"xi depends on the direction {name}; model data is wrong")
@@ -307,15 +304,17 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
     on the negative locus, on the null locus only (value zero), or
     positive with value xi."""
     d = model.divisor(d)
-    if not zariski.is_big(model, d):
+    pair = zariski.big_decomposition(model, d)
+    if pair is None:
         raise NotBig("moving Seshadri constant needs a big class")
-    report = zariski.loci(model, d)
-    if any(x.mults.get(n, 0) > 0 for n in report.neg_curves):
+    if zariski.neg_curves_through(model, pair, x.mults):
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    if any(x.mults.get(n, 0) > 0 for n in report.null_curves):
+    if any(x.mults.get(c.name, 0) > 0 and pairing(model, pair.P, c.cls) == 0
+           for c in model.curves):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
-    return MovingSeshadri(SeshadriStatus.POSITIVE, value=xi(model, d, x))
+    return MovingSeshadri(SeshadriStatus.POSITIVE,
+                          value=_xi_off_neg_locus(model, d, x))
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -18,6 +18,7 @@ Builtin catalog:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -200,20 +201,9 @@ def _example_interesting() -> SurfaceModel:
 
 
 def _example_interesting_base() -> SurfaceModel:
-    base = _del_pezzo(1)
-    return SurfaceModel(
-        rank=base.rank,
-        basis_labels=base.basis_labels,
-        gram=base.gram,
-        curves=base.curves,
-        ample_ref=base.ample_ref,
-        canonical=base.canonical,
-        completeness_declared=True,
-        points=dict(base.points),
-        generic_families=base.generic_families,
-        metadata={"family": "del-pezzo", "r": "1",
-                  "default_point": "on-E-tangent"},
-    )
+    return dataclasses.replace(
+        _del_pezzo(1), metadata={"family": "del-pezzo", "r": "1",
+                                 "default_point": "on-E-tangent"})
 
 
 @lru_cache(maxsize=None)

@@ -5,14 +5,15 @@ The polygon of D with respect to an admissible flag (C, x) is the region
 for the Zariski decomposition, alpha(t) is the local multiplicity of N_t
 along C at x and beta(t) = alpha(t) + (P_t . C).
 
-Between walls the negative-part support is constant, so the coefficients of
-N_t solve a fixed Gram system with right-hand side affine in t; alpha and
-beta are therefore piecewise affine and the whole polygon is computed by an
-exact chamber walk.  Walls occur where P_t stops pairing positively with a
-new curve.  A wall is crossed by the decomposition fixpoint itself, run on
-D - sC just past the wall from the current support
-(:func:`surfpos.zariski.chamber`).  The walk terminates where (P_t)^2
-vanishes, the only breakpoint that may be a quadratic irrational.
+Between walls the support of N_t is constant and its coefficients are
+affine in t.  Walls occur where P_t stops pairing positively with a new
+curve; each is crossed by the decomposition fixpoint run on D - sC just
+past it (:func:`surfpos.zariski.chamber`).  The walk ends where (P_t)^2
+vanishes, the only breakpoint that may be a quadratic irrational.  The
+walk depends on D and C only and x enters only through alpha, so one walk
+serves every point of C.  The polygon is convex, so a simplex lies inside
+it exactly when its vertices do: lambda and xi are read off the boundary
+at those vertices.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .scalars import ExactScalar, positive_quadratic_root, vector
 Affine = tuple[Fraction, Fraction]  # value c0 + c1 * t
 
 Point = tuple[ExactScalar, ExactScalar]
+
+# (t_lo, t_hi, coeffs, P_t . C): on [t_lo, t_hi], N_t is the sum of
+# coeffs[n] * n over its support, in curve order
+WalkPiece = tuple[Fraction, ExactScalar, dict[str, Affine], Affine]
 
 
 def _ev(f: Affine, t) -> ExactScalar:
@@ -100,20 +105,45 @@ def _transition(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     return chamber
 
 
-def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
-                     point: PointSpec) -> NOPolygon:
-    """Exact Newton-Okounkov polygon of a big class for the flag (C, x)."""
+@dataclass(frozen=True)
+class Walk:
+    """The chamber walk of D along the flag curve C, for every point of C."""
+
+    nu: Fraction
+    mu: ExactScalar
+    flag_curve: str
+    pieces: tuple[WalkPiece, ...]
+
+    def polygon(self, point: PointSpec) -> NOPolygon:
+        """The polygon for the flag (C, point): alpha weighs the negative
+        part by the local multiplicities at the point."""
+        pieces = []
+        for t_lo, t_hi, coeffs, blen in self.pieces:
+            alpha = (sum((c0 * point.mult(n)
+                          for n, (c0, _) in coeffs.items()), Fraction(0)),
+                     sum((c1 * point.mult(n)
+                          for n, (_, c1) in coeffs.items()), Fraction(0)))
+            beta = (alpha[0] + blen[0], alpha[1] + blen[1])
+            pieces.append(PolygonPiece(t_lo, t_hi, alpha, beta,
+                                       tuple(coeffs)))
+        return NOPolygon(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
+                         flag_curve=self.flag_curve,
+                         vertices=_vertices(self.nu, self.mu, pieces))
+
+
+def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
+    """Exact chamber walk of a big class along D - tC, from nu to mu."""
     d = model.divisor(d)
-    if not zariski.is_big(model, d):
+    # one LP and one fixpoint decide bigness and give nu
+    start = zariski.big_decomposition(model, d)
+    if start is None:
         raise NotBig("polygon needs a big class")
     flag = model.curve_class(flag_curve)
-    # D is big, so pseudo-effective: the fixpoint alone decomposes it
-    start = zariski.chamber(model, d)
-    nu = start.coeffs.get(flag_curve, (Fraction(0), 0))[0]
+    nu = start.N_coeffs.get(flag_curve, Fraction(0))
     support = tuple(n for n in start.support if n != flag_curve)
     chamber = _transition(model, d, flag_curve, support, nu)
 
-    pieces: list[PolygonPiece] = []
+    pieces: list[WalkPiece] = []
     t0 = nu
     guard = len(model.curves) * (model.rank + 2) + 4
     for _ in range(guard):
@@ -133,33 +163,30 @@ def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
         except NoRealRoot:
             mu_candidate = None
         next_wall = min(walls) if walls else None
-        alpha = (sum((c0 * point.mult(n)
-                      for n, (c0, _) in chamber.coeffs.items()), Fraction(0)),
-                 sum((c1 * point.mult(n)
-                      for n, (_, c1) in chamber.coeffs.items()), Fraction(0)))
         blen = (pairing(model, p0, flag), pairing(model, p1, flag))
-        beta = (alpha[0] + blen[0], alpha[1] + blen[1])
         if mu_candidate is not None and (next_wall is None
                                          or mu_candidate <= next_wall):
-            pieces.append(PolygonPiece(t0, mu_candidate, alpha, beta,
-                                       chamber.support))
+            pieces.append((t0, mu_candidate, chamber.coeffs, blen))
             mu = mu_candidate
             break
         if next_wall is None:
             raise ModelInconsistency(
                 "chamber walk found neither a wall nor a volume root")
-        pieces.append(PolygonPiece(t0, next_wall, alpha, beta,
-                                   chamber.support))
-        chamber = _transition(model, d, flag_curve, chamber.support,
-                              next_wall)
-        if not set(pieces[-1].support) <= set(chamber.support):
+        pieces.append((t0, next_wall, chamber.coeffs, blen))
+        support = chamber.support
+        chamber = _transition(model, d, flag_curve, support, next_wall)
+        if not set(support) <= set(chamber.support):
             raise ModelInconsistency("negative-part support decreased")
         t0 = next_wall
     else:
         raise ModelInconsistency("chamber walk did not terminate")
-    verts = _vertices(nu, mu, pieces)
-    return NOPolygon(nu=nu, mu=mu, pieces=tuple(pieces),
-                     flag_curve=flag_curve, vertices=verts)
+    return Walk(nu=nu, mu=mu, flag_curve=flag_curve, pieces=tuple(pieces))
+
+
+def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
+                     point: PointSpec) -> NOPolygon:
+    """Exact Newton-Okounkov polygon of a big class for the flag (C, x)."""
+    return chamber_walk(model, d, flag_curve).polygon(point)
 
 
 def _vertices(nu, mu, pieces: list[PolygonPiece]) -> tuple[Point, ...]:
@@ -198,9 +225,7 @@ def _vertices(nu, mu, pieces: list[PolygonPiece]) -> tuple[Point, ...]:
 
 def mu_sup(model: SurfaceModel, d: Sequence, flag_curve: str) -> ExactScalar:
     """sup{t > 0 : D - tC big}, the right endpoint of the chamber walk."""
-    poly = okounkov_polygon(model, d, flag_curve,
-                            PointSpec(on_curve=flag_curve, generic=True))
-    return poly.mu
+    return chamber_walk(model, d, flag_curve).mu
 
 
 def polygon_area(poly: NOPolygon) -> ExactScalar:
@@ -256,56 +281,15 @@ def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
 def largest_simplex(poly: NOPolygon) -> ExactScalar:
     """Largest lambda with the standard simplex of size lambda inside.
 
-    Requires nu = 0.  The binding constraints are the end of the alpha = 0
-    prefix and beta(t) + t >= lambda on [0, lambda].  Writing M(l) for the
-    running minimum of g = beta + t over [0, l], the map M(l) - l is
-    strictly decreasing, so its unique root (or mu, whichever is smaller)
-    is found piece by piece: on each affine segment of M the root is a
-    rational division.
+    Requires nu = 0.  The polygon is convex, so the simplex lies inside
+    exactly when its vertices do: (lambda, 0) needs lambda within the
+    alpha = 0 prefix, and (0, lambda) needs lambda <= beta(0).
     """
     if poly.nu != 0:
         return Fraction(0)
     t_alpha = alpha_zero_prefix(poly)
-
-    def solve_segment(lo, hi, c0, c1) -> Optional[ExactScalar]:
-        # root of c0 + c1*l = l within [lo, hi]; c1 < 1 always here
-        cand = c0 / (1 - c1)
-        if lo <= cand < hi:
-            return cand
-        return None
-
-    running = _ev(poly.pieces[0].beta, Fraction(0))  # g(0)
-    lam: Optional[ExactScalar] = None
-    for p in poly.pieces:
-        g0, g1 = p.beta[0], p.beta[1] + 1  # g(t) = g0 + g1*t
-        lo, hi = p.t_lo, p.t_hi
-        segments: list[tuple] = []
-        if g1 >= 0:
-            # g does not dip below its value at lo; M constant
-            segments.append((lo, hi, min(running, _ev((g0, g1), lo)),
-                             Fraction(0)))
-        else:
-            g_lo = _ev((g0, g1), lo)
-            if g_lo >= running:
-                t_cross = lo + (g_lo - running) / (-g1)
-                if t_cross >= hi:
-                    segments.append((lo, hi, running, Fraction(0)))
-                else:
-                    segments.append((lo, t_cross, running, Fraction(0)))
-                    segments.append((t_cross, hi, g0, g1))
-            else:
-                segments.append((lo, hi, g0, g1))
-        for s_lo, s_hi, c0, c1 in segments:
-            lam = solve_segment(s_lo, s_hi, c0, c1)
-            if lam is not None:
-                break
-            running = min(running, _ev((c0, c1), s_hi)) \
-                if isinstance(s_hi, Fraction) else running
-        if lam is not None:
-            break
-    if lam is None:
-        lam = poly.mu
-    return t_alpha if t_alpha <= lam else lam
+    b0 = poly.beta(Fraction(0))
+    return t_alpha if t_alpha <= b0 else b0
 
 
 def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
@@ -325,8 +309,7 @@ def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
             if root < p.t_hi:
                 t_beta = root
                 break
-    xi = t_alpha if t_alpha <= t_beta else t_beta
-    return xi if xi <= poly.mu else poly.mu
+    return t_alpha if t_alpha <= t_beta else t_beta
 
 
 def criterion_at_point(model: SurfaceModel, d: Sequence, flag_curve: str,

@@ -171,11 +171,18 @@ def volume(model: SurfaceModel, d: Sequence) -> Fraction:
     return self_intersection(model, pair.P)
 
 
+def big_decomposition(model: SurfaceModel,
+                      d: Sequence) -> Optional[ZariskiPair]:
+    """The decomposition of d if d is big, else None: one LP, one fixpoint."""
+    try:
+        pair = zariski_decompose(model, d)
+    except NotPseudoEffective:
+        return None
+    return pair if self_intersection(model, pair.P) > 0 else None
+
+
 def is_big(model: SurfaceModel, d: Sequence) -> bool:
-    d = model.divisor(d)
-    if not is_pseudo_effective(model, d):
-        return False
-    return volume(model, d) > 0
+    return big_decomposition(model, d) is not None
 
 
 def ample_perturbation(model: SurfaceModel, p: Sequence):

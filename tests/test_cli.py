@@ -98,6 +98,23 @@ def test_cli_zariski_and_loci():
     assert doc2 == {"neg": [], "null": ["E"], "relative": False}
 
 
+@pytest.mark.parametrize("model,divisor", [
+    ("bl1p2", "H - E"),         # nef, volume 0: pseudo-effective, not big
+    ("bl2p2", "H - E1 - E2"),   # a (-1)-curve: volume 0
+    ("bl1p2", "3H - E"),
+    ("bl3p2", "3H + E1 - E2 - E3"),  # big, with E1 in its negative part
+])
+def test_cli_zariski_big_and_volume_agree_with_library(model, divisor):
+    m = sp.builtin(model)
+    d = parse_divisor(divisor, m)
+    code, out, _ = run_cli(["zariski", "--model", f"builtin:{model}",
+                            "--divisor", divisor])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["big"] == sp.is_big(m, d)
+    assert Fraction(doc["volume"]) == sp.volume(m, d)
+
+
 def test_cli_seshadri_commands():
     code, out, _ = run_cli(["seshadri", "--model", "builtin:p2",
                             "--divisor", "2H"])

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 import surfpos as sp
-from surfpos.errors import InconsistentMultiplicities, NotBig, PointInNegLocus
+from surfpos import okounkov
+from surfpos.errors import (
+    InconsistentMultiplicities,
+    ModelInconsistency,
+    NotBig,
+    PointInNegLocus,
+)
 from surfpos.infinitesimal import (
     BlowupSpec,
     InfFlagSpec,
@@ -243,6 +249,24 @@ def test_lowerbound_equivalences():
             assert any(not polygon_contains(poly, (bad, Fraction(0)))
                        or not polygon_contains(poly, (bad, bad))
                        for poly in polys)
+
+
+def test_xi_checks_every_direction(monkeypatch):
+    """xi is taken at a generic y and re-checked at each special direction;
+    a direction that disagrees is reported as inconsistent model data."""
+    real = okounkov.largest_inverted_simplex
+    calls = []
+
+    def disagreeing(poly):
+        calls.append(poly)
+        # the first call is the generic y, every later one a direction
+        return real(poly) + (1 if len(calls) > 1 else 0)
+
+    monkeypatch.setattr(okounkov, "largest_inverted_simplex", disagreeing)
+    with pytest.raises(ModelInconsistency,
+                       match="xi depends on the direction"):
+        sp.xi(sp.builtin("bl3p2"), (3, -1, -1, -1))
+    assert len(calls) == 2
 
 
 def test_pullback_pairing_preserved():
