@@ -394,14 +394,14 @@ def run(argv=None) -> int:
         d = parse_divisor(args.divisor, model)
         x = _resolve_blowup_point(args.point, model)
         y = _resolve_y(args.y)
-        poly = infinitesimal.infinitesimal_polygon(model, d, x, y)
-        extra = {"mu_prime": enc_scalar(poly.mu)}
         try:
-            xi_val = infinitesimal.xi(model, d, x)
-            extra["xi"] = enc_scalar(xi_val)
+            xi_val, poly = infinitesimal._xi_and_polygon(model, d, x, y)
         except SurfposError:
+            # no xi: walk for the polygon alone, which re-raises its errors
             xi_val = None
-            extra["xi"] = None
+            poly = infinitesimal.infinitesimal_polygon(model, d, x, y)
+        extra = {"mu_prime": enc_scalar(poly.mu),
+                 "xi": None if xi_val is None else enc_scalar(xi_val)}
         emit(enc_polygon(poly, extra), args)
         if args.svg:
             emit_svg(poly, args.svg,

@@ -159,8 +159,9 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
 
     # nine or more general points give infinitely many negative curves;
     # past r = 7 the generic blow-up is no longer a catalogued del Pezzo
-    is_dp = model.metadata.get("family") == "del-pezzo" \
-        and int(model.metadata.get("r", "9")) <= 7
+    del_pezzo = model.metadata.get("family") == "del-pezzo"
+    r = models_mod._dec_int(model.metadata.get("r", "9")) if del_pezzo else 9
+    is_dp = r <= 7
     ample_is_ample = False
     ample = pullback(model.ample_ref)
     if spec.generic:
@@ -176,26 +177,23 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
                                       is_rational=None))
             present.add(cls)
         if is_dp:
-            r_new = int(model.metadata["r"]) + 1
-            for cls in models_mod.enumerate_minus_one_curves(r_new):
+            for cls in models_mod.enumerate_minus_one_curves(r + 1):
                 if cls not in present:
                     name = _fresh_name({c.name for c in curves}, "C")
                     curves.append(CurveRecord(name=name, cls=cls,
                                               self_int=-1, is_rational=True))
                     present.add(cls)
-            ample = tuple(map(Fraction, (3,) + (-1,) * r_new))
+            ample = tuple(map(Fraction, (3,) + (-1,) * (r + 1)))
             ample_is_ample = True
     canonical = None
     if model.canonical is not None:
         canonical = tuple(model.canonical) + (Fraction(1),)
     complete = model.completeness_declared and (spec.generic
                                                 or spec.extra_complete)
-    if model.metadata.get("family") == "del-pezzo" and not is_dp \
-            and spec.generic:
+    if del_pezzo and not is_dp and spec.generic:
         complete = False  # blow-up of bl8p2: negative curves not listable
     if is_dp and spec.generic:
-        metadata = {"family": "del-pezzo",
-                    "r": str(int(model.metadata["r"]) + 1)}
+        metadata = {"family": "del-pezzo", "r": str(r + 1)}
     else:
         metadata = {"family": "blow-up",
                     "base": model.metadata.get("family", "?")}
@@ -260,6 +258,12 @@ def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
     infinitesimal polygon at x; independent of the point y on E."""
+    return _xi_and_polygon(model, d, x, GENERIC_Y)[0]
+
+
+def _xi_and_polygon(model: SurfaceModel, d: Sequence, x: BlowupSpec,
+                    y: InfFlagSpec) -> tuple[ExactScalar, NOPolygon]:
+    """xi, and the infinitesimal polygon at y read off the same walk."""
     d = model.divisor(d)
     pair = zariski.big_decomposition(model, d)
     if pair is None:
@@ -267,13 +271,15 @@ def xi(model: SurfaceModel, d: Sequence,
     through = zariski.neg_curves_through(model, pair, x.mults)
     if through:
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_off_neg_locus(model, d, x)
+    return _xi_off_neg_locus(model, d, x, y)
 
 
-def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass,
-                      x: BlowupSpec) -> ExactScalar:
-    """xi of a big class at a point off its negative locus.  Computed at a
-    generic y and re-verified at every special direction, all on one walk."""
+def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass, x: BlowupSpec,
+                      y: InfFlagSpec = GENERIC_Y
+                      ) -> tuple[ExactScalar, NOPolygon]:
+    """xi of a big class at a point off its negative locus, and its
+    infinitesimal polygon at y.  xi is computed at a generic y and
+    re-verified at every special direction, all on one walk."""
     bm, pullback, exc = blow_up(model, x)
     walk = okounkov.chamber_walk(bm, pullback(d), exc)
     value = okounkov.largest_inverted_simplex(
@@ -283,7 +289,7 @@ def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass,
         if okounkov.largest_inverted_simplex(special) != value:
             raise ModelInconsistency(
                 f"xi depends on the direction {name}; model data is wrong")
-    return value
+    return value, walk.polygon(_flag_point(bm, exc, y))
 
 
 class SeshadriStatus(enum.Enum):
@@ -314,7 +320,7 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
     return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_off_neg_locus(model, d, x))
+                          value=_xi_off_neg_locus(model, d, x)[0])
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

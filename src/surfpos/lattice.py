@@ -10,6 +10,7 @@ Divisor classes are plain tuples of Fractions in the model basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -278,80 +279,61 @@ class PolyCone:
 def dual_cone(generators: Sequence[Sequence], model: SurfaceModel) -> PolyCone:
     """Extreme rays and facet data of {w : (w . g) >= 0 for all g}.
 
-    Incremental double description over exact rationals.  The pairing
-    halfspace of g has standard normal gram . g; adjacency of rays is
-    decided combinatorially through their zero sets.
+    Integer double description (Motzkin et al. 1953), with the combinatorial
+    adjacency test of Fukuda and Prodon (1996).  The halfspace of g has the
+    primitive integer normal gram . g.  Rays are primitive integer tuples,
+    and a ray's zero set is an int bitmask over the normals.  Two rays
+    across a new hyperplane are adjacent when their common zero set has at
+    least rho - 2 normals and lies in no third ray's zero set; the ray
+    between them is tight exactly on that common set and the new normal.
+    A generator supports a facet when the set of rays tight on its normal
+    is inclusion-maximal among all normals' sets, provided the rays span
+    at least rho - 1 dimensions (otherwise there are no facets).
     """
     gens = [vector(g) for g in generators]
     rho = model.rank
     gram = scalars.matrix(model.gram)
-    normals = []
-    seen = set()
+    normals: dict[tuple[int, ...], DivisorClass] = {}
     for g in gens:
-        n = primitive(scalars.mat_vec(gram, g))
-        if n not in seen:
-            seen.add(n)
-            normals.append(n)
-    if rank(normals) < rho:
-        raise NotFullDimensional(
-            "generators do not span; dual cone is not pointed")
+        normals.setdefault(primitive(scalars.mat_vec(gram, g)), g)
     # order so the first rho normals are independent
     chosen: list[tuple[int, ...]] = []
-    rest: list[tuple[int, ...]] = []
     for n in normals:
         if len(chosen) < rho and rank(chosen + [n]) > len(chosen):
             chosen.append(n)
-        else:
-            rest.append(n)
-    ordered = chosen + rest
+    if len(chosen) < rho:
+        raise NotFullDimensional(
+            "generators do not span; dual cone is not pointed")
+    ordered = chosen + [n for n in normals if n not in chosen]
     # initial simplicial cone: rays are columns of the inverse of the
     # first rho normals, so ray j is tight on every normal except j
-    base = scalars.inverse(chosen)
-    rays = []
-    for j in range(rho):
-        r = primitive([base[i][j] for i in range(rho)])
-        zero = frozenset(k for k in range(rho) if k != j)
-        rays.append((r, zero))
+    rays = [(primitive(col), ((1 << rho) - 1) ^ (1 << j))
+            for j, col in enumerate(zip(*scalars.inverse(chosen)))]
     for idx in range(rho, len(ordered)):
-        a = vector(ordered[idx])
-        vals = [scalars.vec_dot(vector(r), a) for r, _ in rays]
-        if all(v >= 0 for v in vals):
-            rays = [(r, z | {idx} if vals[i] == 0 else z)
-                    for i, (r, z) in enumerate(rays)]
-            continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
+        a, bit = ordered[idx], 1 << idx
+        vals = [sum(x * y for x, y in zip(r, a)) for r, _ in rays]
+        plus = [(r, m, v) for (r, m), v in zip(rays, vals) if v > 0]
+        minus = [(r, m, v) for (r, m), v in zip(rays, vals) if v < 0]
         new_rays = []
-        for i in plus:
-            for j in minus:
-                meet = rays[i][1] & rays[j][1]
-                adjacent = not any(k != i and k != j and meet <= rays[k][1]
-                                   for k in range(len(rays)))
-                if not adjacent:
+        for ri, mi, vi in plus:
+            for rj, mj, vj in minus:
+                meet = mi & mj
+                if meet.bit_count() < rho - 2 or any(
+                        meet & m == meet and m != mi and m != mj
+                        for _, m in rays):
                     continue
-                ri, rj = vector(rays[i][0]), vector(rays[j][0])
-                comb = scalars.vec_sub(scalars.vec_scale(vals[i], rj),
-                                       scalars.vec_scale(vals[j], ri))
-                r = primitive(comb)
-                z = frozenset(
-                    k for k in range(idx + 1)
-                    if scalars.vec_dot(vector(r), vector(ordered[k])) == 0)
-                new_rays.append((r, z))
-        kept = [(rays[i][0], rays[i][1]) for i in plus]
-        kept += [(rays[i][0], rays[i][1] | {idx}) for i in zero]
-        dedup = {}
-        for r, z in kept + new_rays:
-            dedup[r] = z
-        rays = list(dedup.items())
+                comb = [vi * y - vj * x for x, y in zip(ri, rj)]
+                g = math.gcd(*comb)
+                new_rays.append((tuple(x // g for x in comb), meet | bit))
+        rays = [(r, m | bit if v == 0 else m)
+                for (r, m), v in zip(rays, vals) if v >= 0] + new_rays
     ray_vecs = sorted(r for r, _ in rays)
-    # facets of the dual cone correspond to generators whose hyperplane
-    # touches the dual in dimension rho - 1
     facets = []
-    for n, g in zip([primitive(scalars.mat_vec(gram, g)) for g in gens], gens):
-        tight = [r for r in ray_vecs
-                 if scalars.vec_dot(vector(r), vector(n)) == 0]
-        if rank(tight) == rho - 1:
-            facets.append(primitive(g))
-    facets = sorted(set(facets))
+    # rank(R) = rank(R^T R) over Q, and R^T R is only rho x rho
+    if rank([[sum(r[i] * r[j] for r in ray_vecs) for j in range(rho)]
+             for i in range(rho)]) >= rho - 1:
+        tight = [sum(1 << i for i, (_, m) in enumerate(rays) if m >> k & 1)
+                 for k in range(len(ordered))]
+        facets = sorted(primitive(normals[n]) for n, t in zip(ordered, tight)
+                        if not any(t & u == t and t != u for u in tight))
     return PolyCone(generators=tuple(ray_vecs), facet_normals=tuple(facets))

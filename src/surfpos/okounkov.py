@@ -384,10 +384,11 @@ def shift_check(model: SurfaceModel, d: Sequence, flag_curve: str,
     d = model.divisor(d)
     flag = model.curve_class(flag_curve)
     shifted = model.divisor(scalars.vec_sub(d, scalars.vec_scale(t0, flag)))
-    if not zariski.is_big(model, d) or not zariski.is_big(model, shifted):
-        raise NotBig("shift comparison needs both classes big")
-    poly = okounkov_polygon(model, d, flag_curve, point)
-    poly2 = okounkov_polygon(model, shifted, flag_curve, point)
+    try:
+        walks = [chamber_walk(model, c, flag_curve) for c in (d, shifted)]
+    except NotBig:
+        raise NotBig("shift comparison needs both classes big") from None
+    poly, poly2 = (w.polygon(point) for w in walks)
     left = set(truncate_left(poly, Fraction(t0)))
     right = {(v[0] + t0, v[1]) for v in poly2.vertices}
     return left == right

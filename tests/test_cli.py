@@ -180,6 +180,13 @@ def _example_doc_with_mult(mult):
     return doc
 
 
+def _bl2p2_doc_with_r(r):
+    from surfpos.models import model_to_dict
+    doc = model_to_dict(sp.builtin("bl2p2"))
+    doc["metadata"] = {"family": "del-pezzo", "r": r}
+    return doc
+
+
 BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
 
@@ -200,9 +207,10 @@ BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
                    "extra_complete": True}),
     (["genericbound", "--deg", "abc", "--target", "1"], None),
     (["genericbound", "--deg", "5", "--target", "1/0"], None),
+    (["blowup", "--model"], _bl2p2_doc_with_r("abc")),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
-        "deg-abc", "target-1/0"])
+        "deg-abc", "target-1/0", "model-r-abc"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of

@@ -1,15 +1,21 @@
-"""Deterministic work counts: how many pseudo-effectivity LPs and plain
-decomposition fixpoints one query runs.  These pin that a walk decides
-bigness once and that xi and moving Seshadri constants walk once."""
+"""Deterministic work counts: how many pseudo-effectivity LPs, plain
+decomposition fixpoints, chamber walks and blow-ups one query runs.  These
+pin that a walk decides bigness once and that xi and moving Seshadri
+constants walk once."""
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import surfpos as sp
-from surfpos import zariski
+from surfpos import infinitesimal, okounkov, zariski
+from surfpos.cli import main
+from surfpos.errors import NotBig
 from surfpos.lattice import PointSpec
 
 
@@ -31,6 +37,25 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(zariski, "cone_contains", counted_lp)
     monkeypatch.setattr(zariski, "chamber", counted_chamber)
+    return n
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count calls of okounkov.chamber_walk and infinitesimal.blow_up."""
+    n = {"walk": 0, "blowup": 0}
+    walk, blow_up = okounkov.chamber_walk, infinitesimal.blow_up
+
+    def counted_walk(*args, **kwargs):
+        n["walk"] += 1
+        return walk(*args, **kwargs)
+
+    def counted_blow_up(*args, **kwargs):
+        n["blowup"] += 1
+        return blow_up(*args, **kwargs)
+
+    monkeypatch.setattr(okounkov, "chamber_walk", counted_walk)
+    monkeypatch.setattr(infinitesimal, "blow_up", counted_blow_up)
     return n
 
 
@@ -64,3 +89,30 @@ def test_moving_seshadri_decomposes_once_and_walks_once(counts):
     assert res.status is sp.SeshadriStatus.POSITIVE
     assert res.value == Fraction(3, 2)
     assert counts["lp"] == 2
+
+
+def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["infinitesimal", "--model", "builtin:bl3p2",
+                     "--divisor", "3H-E1-E2-E3"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["xi"] == "2" and doc["mu_prime"] == "3"
+    assert counts["lp"] == 2
+    assert walks == {"walk": 1, "blowup": 1}
+
+
+def test_shift_check_decides_bigness_once_per_class(counts):
+    m = sp.builtin("bl3p2")
+    assert sp.shift_check(m, anti_canonical(m), "E1",
+                          PointSpec(on_curve="E1", generic=True),
+                          Fraction(1, 2))
+    assert counts["lp"] == 2
+
+
+def test_shift_check_needs_both_classes_big():
+    m = sp.builtin("bl3p2")
+    with pytest.raises(NotBig, match="needs both classes big"):
+        sp.shift_check(m, anti_canonical(m), "E1",
+                       PointSpec(on_curve="E1", generic=True), Fraction(2))

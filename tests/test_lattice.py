@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,48 @@ def test_dual_cone_round_trip_matrix_models():
             for f in cone.facet_normals:
                 assert pairing(model, tuple(map(Fraction, r)),
                                tuple(map(Fraction, f))) >= 0
+
+
+@pytest.mark.parametrize("name, n_rays, n_facets, split", [
+    ("bl5p2", 26, 16, {(1, 3): 16, (0, 2): 10}),
+    ("bl6p2", 99, 27, {(1, 3): 72, (0, 2): 27}),
+    ("bl7p2", 702, 56, {(1, 3): 576, (0, 2): 126}),
+])
+def test_dual_cone_del_pezzo_nef_cone(name, n_rays, n_facets, split):
+    """The nef cone of bl_r p2, r = 5..7: its facets are the (-1)-curves,
+    and its rays split by (D^2, -K.D) into the classes of the blow-downs to
+    P^2, (1, 3), and of the conic bundles, (0, 2)."""
+    model = sp.builtin(name)
+    cone = dual_cone(model.effective_gens(), model)
+    assert len(cone.generators) == n_rays
+    assert len(cone.facet_normals) == n_facets
+    assert set(cone.facet_normals) == {c.cls for c in model.curves
+                                       if c.self_int == -1}
+    minus_k = [-x for x in model.canonical]
+    assert Counter((pairing(model, r, r), pairing(model, minus_k, r))
+                   for r in cone.generators) == split
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+@pytest.mark.parametrize("name, gens, rays, facets", [
+    ("p2", [(1,), (-1,)], (), ((-1,), (1,))),
+    ("bl2p2", [E1, _neg(E1), E2, E3], ((0, -1, 0), (0, 0, -1)),
+     (_neg(E1), E1)),
+    ("bl2p2", [E1, _neg(E1), E2, _neg(E2), E3], ((0, 0, -1),), ()),
+    ("bl2p2", [E1, _neg(E1), E2, _neg(E2), E3, _neg(E3)], (), ()),
+])
+def test_dual_cone_degenerate(name, gens, rays, facets):
+    """Generator sets with opposite pairs: the dual cone is lower
+    dimensional, and it has facets only when it spans rho - 1 dimensions."""
+    cone = dual_cone(gens, sp.builtin(name))
+    assert cone.generators == rays
+    assert cone.facet_normals == facets
 
 
 def test_dual_cone_not_full_dimensional():
