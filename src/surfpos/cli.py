@@ -18,7 +18,7 @@ from . import infinitesimal, lattice, models, okounkov, seshadri, zariski
 from .errors import ParseError, SchemaError, SurfposError, UnknownSymbol
 from .infinitesimal import BlowupSpec, GENERIC_POINT, InfFlagSpec
 from .lattice import PointSpec, SurfaceModel
-from .models import _dec_frac, _dec_int
+from .models import _dec_frac, _dec_int, _enc_frac
 from .okounkov import NOPolygon
 from .scalars import Quad
 
@@ -118,9 +118,7 @@ def enc_scalar(x):
     if isinstance(x, Quad):
         return {"a": enc_scalar(x.a), "b": enc_scalar(x.b), "d": str(x.d),
                 "approx": float(x)}
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 \
-        else f"{x.numerator}/{x.denominator}"
+    return _enc_frac(x)
 
 
 def enc_vec(v):
@@ -160,13 +158,16 @@ def _canonical_vertices(poly: NOPolygon):
     return verts[start:] + verts[:start]
 
 
-def emit(doc: dict, args) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    target = getattr(args, "json", None) or "-"
+def _write(text: str, target: str) -> None:
     if target == "-":
         sys.stdout.write(text)
     else:
         Path(target).write_text(text, encoding="utf-8")
+
+
+def emit(doc: dict, args) -> None:
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+           getattr(args, "json", None) or "-")
 
 
 def emit_csv(poly: NOPolygon, path: str) -> None:
@@ -180,11 +181,7 @@ def emit_csv(poly: NOPolygon, path: str) -> None:
             enc_scalar(p.alpha[0]), enc_scalar(p.alpha[1]),
             enc_scalar(p.beta[0]), enc_scalar(p.beta[1]),
             ";".join(p.support)]))
-    text = "\n".join(rows) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    _write("\n".join(rows) + "\n", path)
 
 
 def emit_svg(poly: NOPolygon, path: str, overlay=None) -> None:
@@ -219,40 +216,37 @@ def emit_svg(poly: NOPolygon, path: str, overlay=None) -> None:
             parts.append(f'<path d="{d}" fill="none" stroke="#e6550d" '
                          f'stroke-width="1.5"/>')
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    _write("\n".join(parts) + "\n", path)
 
 
 # ----------------------------------------------------------------------
 # argument plumbing
 # ----------------------------------------------------------------------
 
-def _flag_curve(model: SurfaceModel, name: str) -> str:
-    if not model.has_curve(name):
-        raise UnknownSymbol(name)
-    return name
-
-
-def _resolve_point(arg, model: SurfaceModel, flag_curve: str) -> PointSpec:
+def _resolve_flag(args, model: SurfaceModel) -> tuple[str, PointSpec]:
+    """The flag curve, and a point on it checked like the model's points."""
+    flag_curve, arg = args.flag_curve, args.point
+    if not model.has_curve(flag_curve):
+        raise UnknownSymbol(flag_curve)
     if arg in (None, "generic"):
-        return PointSpec(on_curve=flag_curve, generic=True)
+        return flag_curve, PointSpec(on_curve=flag_curve, generic=True)
     if arg.startswith("named:"):
         name = arg.split(":", 1)[1]
         if name not in model.points:
             raise UnknownSymbol(name)
         ps = model.points[name]
-        if ps.on_curve != flag_curve:
-            raise SurfposError(
-                f"point {name!r} lies on {ps.on_curve}, not {flag_curve}")
-        return ps
-    return _read_spec(arg, lambda doc: PointSpec(
-        on_curve=doc.get("on_curve", flag_curve),
-        local_mults={str(k): _dec_int(v) for k, v in
-                     doc.get("local_mults", {}).items()},
-        generic=bool(doc.get("generic", False))))
+    else:
+        name = arg
+        ps = _read_spec(arg, lambda doc: PointSpec(
+            on_curve=doc.get("on_curve", flag_curve),
+            local_mults={str(k): _dec_int(v) for k, v in
+                         doc.get("local_mults", {}).items()},
+            generic=bool(doc.get("generic", False))))
+        lattice.validate_point(model, ps)
+    if ps.on_curve != flag_curve:
+        raise SurfposError(
+            f"point {name!r} lies on {ps.on_curve}, not {flag_curve}")
+    return flag_curve, ps
 
 
 def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
@@ -347,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _scalar_or_status(result):
-    if result.value is not None:
-        return enc_scalar(result.value)
-    return None
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     model = None
@@ -380,8 +368,7 @@ def run(argv=None) -> int:
               "relative": rep.relative}, args)
     elif cmd == "polygon":
         d = parse_divisor(args.divisor, model)
-        flag = _flag_curve(model, args.flag_curve)
-        point = _resolve_point(args.point, model, flag)
+        flag, point = _resolve_flag(args, model)
         res = okounkov.criterion_at_point(model, d, flag, point)
         poly = res["polygon"]
         emit(enc_polygon(poly, {"origin_in": res["origin_in"],
@@ -418,11 +405,11 @@ def run(argv=None) -> int:
         x = _resolve_blowup_point(args.point, model)
         res = infinitesimal.moving_seshadri(model, d, x)
         emit({"status": res.status.value,
-              "value": _scalar_or_status(res)}, args)
+              "value": None if res.value is None else enc_scalar(res.value)},
+             args)
     elif cmd == "lambda":
         d = parse_divisor(args.divisor, model)
-        flag = _flag_curve(model, args.flag_curve)
-        point = _resolve_point(args.point, model, flag)
+        flag, point = _resolve_flag(args, model)
         lam = seshadri.largest_simplex_flag(model, d, flag, point)
         emit({"lambda": enc_scalar(lam)}, args)
     elif cmd == "nefcone":

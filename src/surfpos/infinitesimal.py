@@ -28,7 +28,6 @@ from .lattice import (
     DivisorClass,
     PointSpec,
     SurfaceModel,
-    pairing,
     validate_model,
 )
 from .okounkov import NOPolygon
@@ -114,9 +113,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     for n1 in listed:
         for n2 in listed:
             if n1 < n2:
-                glob = pairing(model, model.curve_class(n1),
-                               model.curve_class(n2))
-                if glob < listed[n1] * listed[n2]:
+                if model.meet(n1, n2) < listed[n1] * listed[n2]:
                     raise InconsistentMultiplicities(
                         f"{n1} and {n2} cannot both have these "
                         f"multiplicities at one point")
@@ -219,8 +216,7 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
         return PointSpec(on_curve=exc, generic=True)
     if not bm.has_curve(y.on):
         raise InconsistentMultiplicities(f"no curve named {y.on!r}")
-    meet = pairing(bm, bm.curve_class(y.on), bm.curve_class(exc))
-    if meet < y.mult or y.mult < 1:
+    if bm.meet(y.on, exc) < y.mult or y.mult < 1:
         raise InconsistentMultiplicities(
             f"{y.on} does not meet the exceptional curve with "
             f"multiplicity {y.mult}")
@@ -240,18 +236,18 @@ def mu_prime(model: SurfaceModel, d: Sequence,
              x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest t with pullback(D) - tE big: the asymptotic multiplicity."""
     d = model.divisor(d)
-    if not zariski.is_big(model, d):
-        raise NotBig("mu' needs a big class")
     bm, pullback, exc = blow_up(model, x)
-    return okounkov.mu_sup(bm, pullback(d), exc)
+    try:
+        return okounkov.mu_sup(bm, pullback(d), exc)
+    except NotBig:
+        raise NotBig("mu' needs a big class") from None
 
 
 def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
     """Strict transforms actually meeting the exceptional curve."""
-    e = bm.curve_class(exc)
+    meets = bm.curve_pairings(bm.curve_class(exc))
     return [c.name for c in bm.curves
-            if c.name != exc and pairing(bm, c.cls, e) >= 1
-            and c.self_int < 0]
+            if c.name != exc and meets[c.name] >= 1 and c.self_int < 0]
 
 
 def xi(model: SurfaceModel, d: Sequence,
@@ -315,8 +311,8 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
         raise NotBig("moving Seshadri constant needs a big class")
     if zariski.neg_curves_through(model, pair, x.mults):
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    if any(x.mults.get(c.name, 0) > 0 and pairing(model, pair.P, c.cls) == 0
-           for c in model.curves):
+    if any(x.mults.get(n, 0) > 0 and v == 0
+           for n, v in model.curve_pairings(pair.P).items()):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
     return MovingSeshadri(SeshadriStatus.POSITIVE,
@@ -327,10 +323,7 @@ def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,
                                   x: BlowupSpec = GENERIC_POINT) -> NOPolygon:
     """Infinitesimal polygon at a generic y; its base is the whole segment
     [0, mu'] on the t-axis."""
-    d = model.divisor(d)
-    if not zariski.is_big(model, d):
-        raise NotBig("polygon needs a big class")
-    poly = infinitesimal_polygon(model, d, x, GENERIC_Y)
+    poly = infinitesimal_polygon(model, model.divisor(d), x, GENERIC_Y)
     if okounkov.alpha_zero_prefix(poly) != poly.mu:
         raise ModelInconsistency(
             "generic infinitesimal polygon does not rest on the t-axis")

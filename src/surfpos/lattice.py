@@ -6,6 +6,11 @@ projective surface: a unimodular-free lattice of rank rho with a symmetric
 integer Gram matrix of signature (1, rho-1), a finite list of curve records
 declared to generate the effective cone, and a reference ample class.
 Divisor classes are plain tuples of Fractions in the model basis.
+
+Every pairing against the curve list reads one integer table per model,
+the row gram . C of each listed curve C, built on first use and read by
+:meth:`SurfaceModel.curve_pairings` and :meth:`SurfaceModel.meet`, which
+return Fractions.  :func:`pairing` pairs two arbitrary classes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
@@ -86,14 +93,36 @@ class SurfaceModel:
 
     # -- structural helpers ----------------------------------------
 
+    @cached_property
+    def _curve_table(self) -> dict[str, tuple[CurveRecord, tuple[int, ...]]]:
+        """Each listed curve and its integer row gram . C, by name."""
+        if any(len(c.cls) != self.rank for c in self.curves):
+            raise DimensionMismatch(
+                "divisor dimension does not match model rank")
+        return {c.name: (c, tuple(sum(map(mul, row, c.cls))
+                                  for row in self.gram)) for c in self.curves}
+
     def curve(self, name: str) -> CurveRecord:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise KeyError(f"no curve named {name!r}")
+        try:
+            return self._curve_table[name][0]
+        except KeyError:
+            raise KeyError(f"no curve named {name!r}") from None
 
     def has_curve(self, name: str) -> bool:
-        return any(c.name == name for c in self.curves)
+        return name in self._curve_table
+
+    def curve_pairings(self, d: Sequence) -> dict[str, Fraction]:
+        """d . C for every listed curve C, by name in curve order."""
+        v = self.divisor(d)
+        den = math.lcm(*(x.denominator for x in v))
+        num = [x.numerator * (den // x.denominator) for x in v]
+        return {n: Fraction(sum(map(mul, row, num)), den)
+                for n, (_, row) in self._curve_table.items()}
+
+    def meet(self, a: str, b: str) -> Fraction:
+        """The intersection number of the listed curves a and b."""
+        return Fraction(sum(map(mul, self._curve_table[a][1],
+                                self.curve(b).cls)))
 
     def curve_class(self, name: str) -> DivisorClass:
         return vector(self.curve(name).cls)
@@ -111,9 +140,7 @@ class SurfaceModel:
         return tuple(vector(c.cls) for c in self.curves)
 
     def gram_submatrix(self, names: Sequence[str]) -> Matrix:
-        classes = [self.curve_class(n) for n in names]
-        return tuple(tuple(pairing(self, a, b) for b in classes)
-                     for a in classes)
+        return tuple(tuple(self.meet(a, b) for b in names) for a in names)
 
     def resolve(self, name: str) -> DivisorClass:
         """A basis label or curve name as a divisor class."""
@@ -168,31 +195,32 @@ def validate_model(model: SurfaceModel) -> None:
         raise InvariantViolation("negative curves",
                                  "a negative class appears twice")
     for c in model.curves:
-        if self_intersection(model, vector(c.cls)) != c.self_int:
+        if model.meet(c.name, c.name) != c.self_int:
             raise InvariantViolation("curve self-intersection",
                                      f"{c.name} cached value is wrong")
     if self_intersection(model, model.ample_ref) <= 0:
         raise InvariantViolation("ample reference", "non-positive square")
     if model.ample_ref_is_ample:
-        for c in model.curves:
-            if pairing(model, model.ample_ref, vector(c.cls)) <= 0:
+        for n, v in model.curve_pairings(model.ample_ref).items():
+            if v <= 0:
                 raise InvariantViolation(
-                    "ample reference", f"non-positive against {c.name}")
+                    "ample reference", f"non-positive against {n}")
     for p in model.points.values():
-        if not model.has_curve(p.on_curve):
+        validate_point(model, p)
+
+
+def validate_point(model: SurfaceModel, p: PointSpec) -> None:
+    """Raise InvariantViolation unless p is a valid point spec of the model."""
+    if not model.has_curve(p.on_curve):
+        raise InvariantViolation("point spec",
+                                 f"unknown flag curve {p.on_curve!r}")
+    for n, m in p.local_mults.items():
+        if m < 0 or not model.has_curve(n):
             raise InvariantViolation("point spec",
-                                     f"unknown flag curve {p.on_curve!r}")
-        for n, m in p.local_mults.items():
-            if m < 0 or not model.has_curve(n):
-                raise InvariantViolation("point spec",
-                                         f"bad local multiplicity for {n!r}")
-            if n != p.on_curve:
-                glob = pairing(model, model.curve_class(n),
-                               model.curve_class(p.on_curve))
-                if m > glob:
-                    raise InvariantViolation(
-                        "point spec",
-                        f"local mult of {n} exceeds global intersection")
+                                     f"bad local multiplicity for {n!r}")
+        if n != p.on_curve and m > model.meet(n, p.on_curve):
+            raise InvariantViolation(
+                "point spec", f"local mult of {n} exceeds global intersection")
 
 
 # ----------------------------------------------------------------------

@@ -95,10 +95,11 @@ class Classification(enum.Enum):
 def _transition(model: SurfaceModel, d: DivisorClass, flag_curve: str,
                 support: tuple[str, ...], t: Fraction) -> zariski.Chamber:
     """The chamber of D - sC immediately to the right of the wall s = t,
-    grown by the decomposition fixpoint from the current support."""
+    grown by the decomposition fixpoint from the current support.  The flag
+    curve must not enter, even with coefficient zero: beta reads P_t . C."""
     slope = vector([-x for x in model.curve_class(flag_curve)])
     chamber = zariski.chamber(model, d, slope, t, support)
-    if flag_curve in chamber.support:
+    if flag_curve not in chamber.pairings:
         raise FlagCurveReenters(
             f"flag curve {flag_curve} enters the negative part past t={t}; "
             "model data is inconsistent with the flag")
@@ -138,7 +139,6 @@ def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
     start = zariski.big_decomposition(model, d)
     if start is None:
         raise NotBig("polygon needs a big class")
-    flag = model.curve_class(flag_curve)
     nu = start.N_coeffs.get(flag_curve, Fraction(0))
     support = tuple(n for n in start.support if n != flag_curve)
     chamber = _transition(model, d, flag_curve, support, nu)
@@ -163,7 +163,7 @@ def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
         except NoRealRoot:
             mu_candidate = None
         next_wall = min(walls) if walls else None
-        blen = (pairing(model, p0, flag), pairing(model, p1, flag))
+        blen = chamber.pairings[flag_curve]
         if mu_candidate is not None and (next_wall is None
                                          or mu_candidate <= next_wall):
             pieces.append((t0, mu_candidate, chamber.coeffs, blen))

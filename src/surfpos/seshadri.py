@@ -28,18 +28,11 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     if not zariski.is_nef(model, a):
         raise NotNef("Seshadri constants need a nef class")
     bm, pullback, exc = infinitesimal.blow_up(model, x)
-    up = pullback(a)
-    e = bm.curve_class(exc)
+    ups = bm.curve_pairings(pullback(a))
     best: ExactScalar = rational_sqrt(zariski.self_intersection(model, a))
-    for c in bm.curves:
-        if c.name == exc:
-            continue
-        m = pairing(bm, c.cls, e)
-        if m <= 0:
-            continue
-        bound = pairing(bm, up, c.cls) / m
-        if bound < best:
-            best = bound
+    for n, m in bm.curve_pairings(bm.curve_class(exc)).items():
+        if n != exc and m > 0:
+            best = min(best, ups[n] / m)
     return best
 
 

@@ -82,41 +82,42 @@ def chamber(model: SurfaceModel, d: DivisorClass,
     (v0 + t*v1, v1) is lexicographically negative, so the result is the
     decomposition of d + (t+eps)*slope; with no slope it is that of d.
     """
-    classes = {c.name: model.divisor(c.cls) for c in model.curves}
-
     def negative(v0, v1) -> bool:
         v = v0 + t * v1 if v1 else v0
         return v < 0 or (v == 0 and v1 < 0)
 
+    d_pairs = model.curve_pairings(d)
+    s_pairs = model.curve_pairings(slope) if slope is not None else None
     names = list(support)
     while True:
         coeffs: dict[str, tuple[Fraction, Fraction]] = {}
         p0, p1 = d, slope
         if names:
-            rows = [classes[n] for n in names]
-            gram = [[pairing(model, a, b) for b in rows] for a in rows]
+            gram = model.gram_submatrix(names)
             if not is_negative_definite(gram):
                 raise ModelInconsistency(
                     "support Gram matrix not negative definite for "
                     f"{names}; curve list is incomplete or wrong")
-            sol0 = solve_linear(gram, [pairing(model, d, c) for c in rows])
-            sol1 = (solve_linear(gram, [pairing(model, slope, c) for c in rows])
+            sol0 = solve_linear(gram, [d_pairs[n] for n in names])
+            sol1 = (solve_linear(gram, [s_pairs[n] for n in names])
                     if slope is not None else (0,) * len(names))
-            for n, c, a0, a1 in zip(names, rows, sol0, sol1):
+            for n, a0, a1 in zip(names, sol0, sol1):
                 if negative(a0, a1):
                     raise ModelInconsistency(
                         f"negative coefficient in candidate negative part "
                         f"on {names}")
                 coeffs[n] = (a0, a1)
+                c = model.curve_class(n)
                 p0 = scalars.vec_sub(p0, scalars.vec_scale(a0, c))
                 if slope is not None:
                     p1 = scalars.vec_sub(p1, scalars.vec_scale(a1, c))
-        pairings = {n: (pairing(model, p0, c),
-                        pairing(model, p1, c) if slope is not None else 0)
-                    for n, c in classes.items() if n not in coeffs}
+        q0 = model.curve_pairings(p0)
+        q1 = (model.curve_pairings(p1) if slope is not None
+              else dict.fromkeys(q0, 0))
+        pairings = {n: (v, q1[n]) for n, v in q0.items() if n not in coeffs}
         entering = [n for n, v in pairings.items() if negative(*v)]
         if not entering:
-            order = tuple(n for n in classes
+            order = tuple(n for n in q0
                           if n in coeffs and coeffs[n] != (0, 0))
             return Chamber(order, {n: coeffs[n] for n in order}, pairings,
                            p0, p1)
@@ -137,8 +138,8 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
 
 def loci(model: SurfaceModel, d: Sequence) -> LocusReport:
     pair = zariski_decompose(model, d)
-    null = frozenset(c.name for c in model.curves
-                     if pairing(model, pair.P, model.divisor(c.cls)) == 0)
+    null = frozenset(n for n, v in model.curve_pairings(pair.P).items()
+                     if v == 0)
     return LocusReport(null_curves=null,
                        neg_curves=frozenset(pair.support),
                        relative=pair.relative)
@@ -150,8 +151,7 @@ def is_nef(model: SurfaceModel, d: Sequence) -> bool:
         return False
     if pairing(model, d, model.ample_ref) < 0:
         return False
-    return all(pairing(model, d, model.divisor(c.cls)) >= 0
-               for c in model.curves)
+    return all(v >= 0 for v in model.curve_pairings(d).values())
 
 
 def is_ample(model: SurfaceModel, d: Sequence) -> bool:
@@ -161,8 +161,7 @@ def is_ample(model: SurfaceModel, d: Sequence) -> bool:
         return False
     if pairing(model, d, model.ample_ref) <= 0:
         return False
-    return all(pairing(model, d, model.divisor(c.cls)) > 0
-               for c in model.curves)
+    return all(v > 0 for v in model.curve_pairings(d).values())
 
 
 def volume(model: SurfaceModel, d: Sequence) -> Fraction:
@@ -196,8 +195,7 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
     p = model.divisor(p)
     if not is_nef(model, p):
         raise NotBigNef("perturbation needs a nef class")
-    null = [c.name for c in model.curves
-            if pairing(model, p, model.divisor(c.cls)) == 0]
+    null = [n for n, v in model.curve_pairings(p).items() if v == 0]
     if not null:
         if not is_ample(model, p):
             raise NotBigNef("nef class with empty null locus but zero square")

@@ -189,6 +189,8 @@ def _bl2p2_doc_with_r(r):
 
 BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
+FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
+              "3H-E1-E2-E3+L12", "--flag-curve", "E1", "--point"]
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -208,9 +210,15 @@ BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
     (["genericbound", "--deg", "abc", "--target", "1"], None),
     (["genericbound", "--deg", "5", "--target", "1/0"], None),
     (["blowup", "--model"], _bl2p2_doc_with_r("abc")),
+    (FLAG_POINT, {"local_mults": {"L12": 3}}),
+    (FLAG_POINT, {"local_mults": {"E9": 1}}),
+    (FLAG_POINT, {"on_curve": "E2"}),
+    (FLAG_POINT, {"local_mults": {"L12": -1}}),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
-        "deg-abc", "target-1/0", "model-r-abc"])
+        "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
+        "local-mult-unknown-curve", "point-off-flag-curve",
+        "local-mult-negative"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -224,6 +232,18 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+def test_cli_negative_local_mult_blames_the_point(tmp_path):
+    """A negative local multiplicity in a --point file is rejected as a
+    bad point, before any walk can blame the model."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"local_mults": {"L12": -1}}))
+    code, out, err = run_cli(FLAG_POINT + [str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "invariant-violation",
+        "message": "point spec: bad local multiplicity for 'L12'"}
 
 
 def test_cli_usage_error_exit_2():

@@ -1,7 +1,8 @@
 """Deterministic work counts: how many pseudo-effectivity LPs, plain
-decomposition fixpoints, chamber walks and blow-ups one query runs.  These
-pin that a walk decides bigness once and that xi and moving Seshadri
-constants walk once."""
+decomposition fixpoints, chamber walks, blow-ups and plain pairings one
+query runs.  These pin that a walk decides bigness once, that xi and moving
+Seshadri constants walk once, and that pairings with the curve list read
+the model's curve table."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import surfpos as sp
-from surfpos import infinitesimal, okounkov, zariski
+from surfpos import infinitesimal, lattice, okounkov, seshadri, zariski
 from surfpos.cli import main
 from surfpos.errors import NotBig
 from surfpos.lattice import PointSpec
@@ -56,6 +57,21 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(okounkov, "chamber_walk", counted_walk)
     monkeypatch.setattr(infinitesimal, "blow_up", counted_blow_up)
+    return n
+
+
+@pytest.fixture
+def pairings(monkeypatch):
+    """Count calls of lattice.pairing through every module that binds it."""
+    n = {"pairing": 0}
+    pairing = lattice.pairing
+
+    def counted_pairing(*args, **kwargs):
+        n["pairing"] += 1
+        return pairing(*args, **kwargs)
+
+    for module in (lattice, zariski, okounkov, seshadri):
+        monkeypatch.setattr(module, "pairing", counted_pairing)
     return n
 
 
@@ -116,3 +132,36 @@ def test_shift_check_needs_both_classes_big():
     with pytest.raises(NotBig, match="needs both classes big"):
         sp.shift_check(m, anti_canonical(m), "E1",
                        PointSpec(on_curve="E1", generic=True), Fraction(2))
+
+
+def test_mu_prime_decides_bigness_once(counts):
+    m = sp.builtin("bl3p2")
+    assert sp.mu_prime(m, anti_canonical(m)) == 3
+    assert counts["lp"] == 1
+
+
+def test_generic_infinitesimal_polygon_decides_bigness_once(counts):
+    m = sp.builtin("bl3p2")
+    assert sp.generic_infinitesimal_polygon(m, anti_canonical(m)).mu == 3
+    assert counts["lp"] == 1
+
+
+def test_mu_prime_keeps_its_not_big_message():
+    m = sp.builtin("bl3p2")
+    with pytest.raises(NotBig, match="mu' needs a big class"):
+        sp.mu_prime(m, m.curve_class("E1"))
+
+
+def test_decomposition_pairs_only_through_the_curve_table(pairings):
+    m = sp.builtin("bl7p2")
+    pairings["pairing"] = 0  # count the query, not the model's validation
+    assert sp.zariski_decompose(m, anti_canonical(m)).support == ()
+    assert pairings["pairing"] == 0
+
+
+def test_polygon_pairs_three_times_per_piece(pairings):
+    m = sp.builtin("bl7p2")
+    pairings["pairing"] = 0
+    poly = sp.okounkov_polygon(m, anti_canonical(m), "E1",
+                               PointSpec(on_curve="E1", generic=True))
+    assert pairings["pairing"] <= 3 * len(poly.pieces) + 1

@@ -1,11 +1,16 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos.errors import DimensionMismatch, NotFullDimensional
+from surfpos.infinitesimal import point_on_exceptional_spec
 from surfpos.lattice import cone_contains, dual_cone, pairing
+from surfpos.models import BUILTIN_NAMES
 
 from conftest import MATRIX_MODELS, seeded_rng
 
@@ -185,3 +190,35 @@ def test_ample_ref_positive_on_matrix_models():
         model = sp.builtin(name)
         for c in model.curves:
             assert pairing(model, model.ample_ref, c.cls) > 0, (name, c.name)
+
+
+TABLE_MODELS = BUILTIN_NAMES + ("bl3p2 blown up", "tangent blow-up")
+
+
+@cache
+def table_model(name):
+    if name == "bl3p2 blown up":
+        return sp.blow_up(sp.builtin("bl3p2"))[0]
+    if name == "tangent blow-up":
+        base = sp.builtin("example-interesting-base")
+        return sp.blow_up(base, point_on_exceptional_spec(base))[0]
+    return sp.builtin(name)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_curve_table_agrees_with_pairing(data):
+    """Every read of a model's curve table equals the plain pairing of the
+    classes, as a Fraction."""
+    model = table_model(data.draw(st.sampled_from(TABLE_MODELS)))
+    d = tuple(data.draw(st.fractions(-20, 20, max_denominator=12))
+              for _ in range(model.rank))
+    pairs = model.curve_pairings(d)
+    assert list(pairs) == [c.name for c in model.curves]
+    for c in model.curves:
+        assert type(pairs[c.name]) is Fraction
+        assert pairs[c.name] == pairing(model, d, c.cls)
+    a = data.draw(st.sampled_from(model.curves))
+    b = data.draw(st.sampled_from(model.curves))
+    assert type(model.meet(a.name, b.name)) is Fraction
+    assert model.meet(a.name, b.name) == pairing(model, a.cls, b.cls)
