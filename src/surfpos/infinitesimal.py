@@ -6,14 +6,19 @@ curve records become strict transforms class - mult * E.  Infinitesimal
 polygons are ordinary polygons on the blow-up with respect to flags (E, y),
 and the local positivity invariants (the asymptotic multiplicity mu', the
 largest inverted simplex xi, moving Seshadri constants) are read off them.
+When the base lists every curve of its effective cone, a walk on a
+blow-up takes bigness from the base class, which is big exactly when its
+pullback is, so the blow-up runs its decomposition fixpoint but no
+pseudo-effectivity LP.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import models as models_mod
 from . import okounkov, scalars, zariski
@@ -89,11 +94,14 @@ def point_on_exceptional_spec(model: SurfaceModel) -> BlowupSpec:
     )
 
 
-def _fresh_name(taken, base="E") -> str:
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def _fresh_names(taken: set[str], base: str = "E") -> Iterator[str]:
+    """The names base1, base2, ... not in ``taken``, in order; each name
+    given out joins ``taken``."""
+    for i in itertools.count(1):
+        name = f"{base}{i}"
+        if name not in taken:
+            taken.add(name)
+            yield name
 
 
 def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
@@ -120,7 +128,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     taken = set(model.basis_labels) | {c.name for c in model.curves}
     taken |= {spec.renames.get(c.name, c.name) for c in model.curves}
     taken |= {n for n, _ in spec.extra_curves}
-    exc = spec.exceptional_name or _fresh_name(taken)
+    exc = spec.exceptional_name or next(_fresh_names(taken))
     labels = model.basis_labels + (exc,)
     gram = tuple(tuple(row) + (0,) for row in model.gram)
     gram += (tuple([0] * rho) + (-1,),)
@@ -164,20 +172,20 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     if spec.generic:
         # movable families acquire a member through the point
         present = {c.cls for c in curves}
+        names = {c.name for c in curves}
         for fam in model.generic_families:
             cls = tuple(fam.cls) + (-fam.mult,)
             if cls in present:
                 continue
-            name = _fresh_name({c.name for c in curves}, fam.name_hint)
-            curves.append(CurveRecord(name=name, cls=cls,
-                                      self_int=new_self_int(cls),
-                                      is_rational=None))
+            curves.append(CurveRecord(
+                name=next(_fresh_names(names, fam.name_hint)), cls=cls,
+                self_int=new_self_int(cls), is_rational=None))
             present.add(cls)
         if is_dp:
-            for cls in models_mod.enumerate_minus_one_curves(r + 1):
+            fresh = _fresh_names(names, "C")
+            for cls in models_mod._minus_one_classes(r + 1):
                 if cls not in present:
-                    name = _fresh_name({c.name for c in curves}, "C")
-                    curves.append(CurveRecord(name=name, cls=cls,
+                    curves.append(CurveRecord(name=next(fresh), cls=cls,
                                               self_int=-1, is_rational=True))
                     present.add(cls)
             ample = tuple(map(Fraction, (3,) + (-1,) * (r + 1)))
@@ -223,22 +231,50 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
     return PointSpec(on_curve=exc, local_mults={y.on: y.mult}, generic=False)
 
 
+def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
+                   pair: Optional[zariski.ZariskiPair] = None,
+                   y: Optional[InfFlagSpec] = None
+                   ) -> tuple[SurfaceModel, str, okounkov.Walk,
+                              Optional[PointSpec]]:
+    """Blow up at x and walk the pullback of d along the exceptional curve.
+
+    When the base lists every curve of its effective cone, bigness comes
+    from the base, from ``pair`` if the caller has decomposed d already:
+    the pullback keeps the volume, and a certificate d = sum b_j C_j pulls
+    back to sum b_j C~_j + (sum b_j m_j) E over curves the blow-up lists,
+    so the blow-up runs its fixpoint but no LP.  Otherwise the blow-up may
+    list curves the base misses, and the walk decides bigness on it.  The
+    flag point at y, if given, is resolved before bigness is decided.
+    Returns the blow-up, the exceptional curve, the walk and that point.
+    """
+    bm, pullback, exc = blow_up(model, x)
+    d = model.divisor(d)
+    point = None if y is None else _flag_point(bm, exc, y)
+    up = pullback(d)
+    if not (model.completeness_declared
+            and model.effective_generators is None):
+        return bm, exc, okounkov.chamber_walk(bm, up, exc), point
+    if pair is None and zariski.big_decomposition(model, d) is None:
+        raise NotBig("polygon needs a big class")
+    start = zariski.chamber(bm, up)
+    return bm, exc, okounkov._walk_from(bm, up, exc, {
+        n: a for n, (a, _) in start.coeffs.items()}), point
+
+
 def infinitesimal_polygon(model: SurfaceModel, d: Sequence,
                           x: BlowupSpec = GENERIC_POINT,
                           y: InfFlagSpec = GENERIC_Y) -> NOPolygon:
     """Polygon of the pullback with respect to the flag (E, y)."""
-    bm, pullback, exc = blow_up(model, x)
-    return okounkov.okounkov_polygon(bm, pullback(model.divisor(d)), exc,
-                                     _flag_point(bm, exc, y))
+    _, _, walk, point = _blown_up_walk(model, d, x, y=y)
+    return walk.polygon(point)
 
 
 def mu_prime(model: SurfaceModel, d: Sequence,
              x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest t with pullback(D) - tE big: the asymptotic multiplicity."""
     d = model.divisor(d)
-    bm, pullback, exc = blow_up(model, x)
     try:
-        return okounkov.mu_sup(bm, pullback(d), exc)
+        return _blown_up_walk(model, d, x)[2].mu
     except NotBig:
         raise NotBig("mu' needs a big class") from None
 
@@ -267,17 +303,17 @@ def _xi_and_polygon(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     through = zariski.neg_curves_through(model, pair, x.mults)
     if through:
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_off_neg_locus(model, d, x, y)
+    return _xi_off_neg_locus(model, d, x, pair, y)
 
 
 def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass, x: BlowupSpec,
-                      y: InfFlagSpec = GENERIC_Y
+                      pair: zariski.ZariskiPair, y: InfFlagSpec = GENERIC_Y
                       ) -> tuple[ExactScalar, NOPolygon]:
-    """xi of a big class at a point off its negative locus, and its
-    infinitesimal polygon at y.  xi is computed at a generic y and
-    re-verified at every special direction, all on one walk."""
-    bm, pullback, exc = blow_up(model, x)
-    walk = okounkov.chamber_walk(bm, pullback(d), exc)
+    """xi of a big class at a point off its negative locus, given its
+    decomposition, and its infinitesimal polygon at y.  xi is computed at
+    a generic y and re-verified at every special direction, all on one
+    walk."""
+    bm, exc, walk, _ = _blown_up_walk(model, d, x, pair=pair)
     value = okounkov.largest_inverted_simplex(
         walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
     for name in exceptional_directions(bm, exc):
@@ -316,7 +352,7 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
     return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_off_neg_locus(model, d, x)[0])
+                          value=_xi_off_neg_locus(model, d, x, pair)[0])
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -113,9 +113,7 @@ class SurfaceModel:
 
     def curve_pairings(self, d: Sequence) -> dict[str, Fraction]:
         """d . C for every listed curve C, by name in curve order."""
-        v = self.divisor(d)
-        den = math.lcm(*(x.denominator for x in v))
-        num = [x.numerator * (den // x.denominator) for x in v]
+        num, den = _scaled(self.divisor(d))
         return {n: Fraction(sum(map(mul, row, num)), den)
                 for n, (_, row) in self._curve_table.items()}
 
@@ -152,19 +150,22 @@ class SurfaceModel:
         raise KeyError(name)
 
 
+def _scaled(v: DivisorClass) -> tuple[list[int], int]:
+    """Integers num and den with v = num / den."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def pairing(model: SurfaceModel, d1: Sequence, d2: Sequence) -> Fraction:
-    """Intersection number d1^T . gram . d2, exact."""
+    """Intersection number d1^T . gram . d2, exact: both classes are scaled
+    to integers, so one Fraction is built at the end."""
     v1, v2 = vector(d1), vector(d2)
     if len(v1) != model.rank or len(v2) != model.rank:
         raise DimensionMismatch("divisor dimension does not match model rank")
-    total = Fraction(0)
-    for i, a in enumerate(v1):
-        if a == 0:
-            continue
-        row = model.gram[i]
-        total += a * sum((row[j] * b for j, b in enumerate(v2) if b != 0),
-                         Fraction(0))
-    return total
+    (num1, den1), (num2, den2) = _scaled(v1), _scaled(v2)
+    return Fraction(sum(a * sum(map(mul, row, num2))
+                        for a, row in zip(num1, model.gram) if a),
+                    den1 * den2)
 
 
 def self_intersection(model: SurfaceModel, d: Sequence) -> Fraction:

@@ -49,6 +49,13 @@ def enumerate_minus_one_curves(r: int) -> list[tuple[int, ...]]:
     a <= 6 suffices for r <= 8.  The exceptional classes themselves are
     included.  Coordinates are in the basis (H, E_1, ..., E_r).
     """
+    return list(_minus_one_classes(r))
+
+
+@lru_cache(maxsize=None)
+def _minus_one_classes(r: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted classes of :func:`enumerate_minus_one_curves`, searched
+    once per r."""
     if not 1 <= r <= 8:
         raise InvariantViolation("del Pezzo range", f"r={r} outside 1..8")
     found: list[tuple[int, ...]] = []
@@ -73,7 +80,7 @@ def enumerate_minus_one_curves(r: int) -> list[tuple[int, ...]]:
             for perm in set(itertools.permutations(base)):
                 found.append((a,) + tuple(-x for x in perm))
     # store with positive multiplicities: class is (a, -b_1, ..., -b_r)
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def _curve_name(cls: tuple[int, ...]) -> str:

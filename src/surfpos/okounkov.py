@@ -139,8 +139,15 @@ def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
     start = zariski.big_decomposition(model, d)
     if start is None:
         raise NotBig("polygon needs a big class")
-    nu = start.N_coeffs.get(flag_curve, Fraction(0))
-    support = tuple(n for n in start.support if n != flag_curve)
+    return _walk_from(model, d, flag_curve, start.N_coeffs)
+
+
+def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
+               n_coeffs: dict[str, Fraction]) -> Walk:
+    """The walk of a class known to be big, from the coefficients of the
+    negative part of its decomposition (by name, in curve order)."""
+    nu = n_coeffs.get(flag_curve, Fraction(0))
+    support = tuple(n for n in n_coeffs if n != flag_curve)
     chamber = _transition(model, d, flag_curve, support, nu)
 
     pieces: list[WalkPiece] = []

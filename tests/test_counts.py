@@ -43,9 +43,11 @@ def counts(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count calls of okounkov.chamber_walk and infinitesimal.blow_up."""
+    """Count chamber walks and calls of infinitesimal.blow_up.  A walk is a
+    call of okounkov._walk_from, which okounkov.chamber_walk runs after its
+    LP and a blow-up runs on its own."""
     n = {"walk": 0, "blowup": 0}
-    walk, blow_up = okounkov.chamber_walk, infinitesimal.blow_up
+    walk, blow_up = okounkov._walk_from, infinitesimal.blow_up
 
     def counted_walk(*args, **kwargs):
         n["walk"] += 1
@@ -55,7 +57,7 @@ def walks(monkeypatch):
         n["blowup"] += 1
         return blow_up(*args, **kwargs)
 
-    monkeypatch.setattr(okounkov, "chamber_walk", counted_walk)
+    monkeypatch.setattr(okounkov, "_walk_from", counted_walk)
     monkeypatch.setattr(infinitesimal, "blow_up", counted_blow_up)
     return n
 
@@ -96,7 +98,7 @@ def test_is_big_runs_one_lp(counts):
 def test_xi_decomposes_once_and_walks_once(counts):
     m = sp.builtin("bl3p2")
     assert sp.xi(m, anti_canonical(m)) == 2
-    assert counts["lp"] == 2
+    assert counts["lp"] == 1
 
 
 def test_moving_seshadri_decomposes_once_and_walks_once(counts):
@@ -104,7 +106,7 @@ def test_moving_seshadri_decomposes_once_and_walks_once(counts):
     res = sp.moving_seshadri(m, anti_canonical(m))
     assert res.status is sp.SeshadriStatus.POSITIVE
     assert res.value == Fraction(3, 2)
-    assert counts["lp"] == 2
+    assert counts["lp"] == 1
 
 
 def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
@@ -115,7 +117,7 @@ def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
     assert code == 0
     doc = json.loads(out.getvalue())
     assert doc["xi"] == "2" and doc["mu_prime"] == "3"
-    assert counts["lp"] == 2
+    assert counts["lp"] == 1
     assert walks == {"walk": 1, "blowup": 1}
 
 
@@ -144,6 +146,30 @@ def test_generic_infinitesimal_polygon_decides_bigness_once(counts):
     m = sp.builtin("bl3p2")
     assert sp.generic_infinitesimal_polygon(m, anti_canonical(m)).mu == 3
     assert counts["lp"] == 1
+
+
+@pytest.fixture
+def lp_generators(monkeypatch):
+    """The generator list of every zariski.cone_contains call (LP)."""
+    seen = []
+    lp = zariski.cone_contains
+
+    def recorded_lp(generators, v):
+        seen.append(tuple(map(tuple, generators)))
+        return lp(generators, v)
+
+    monkeypatch.setattr(zariski, "cone_contains", recorded_lp)
+    return seen
+
+
+@pytest.mark.parametrize("query", [sp.mu_prime,
+                                   sp.generic_infinitesimal_polygon])
+def test_blow_up_lp_runs_over_the_base_generators(lp_generators, query):
+    """Bigness of the pullback is decided on the base: its one LP runs over
+    the 7 curves of bl3p2, not the 12 of its blow-up."""
+    m = sp.builtin("bl3p2")
+    query(m, anti_canonical(m))
+    assert lp_generators == [tuple(map(tuple, m.effective_gens()))]
 
 
 def test_mu_prime_keeps_its_not_big_message():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from surfpos.infinitesimal import (
     SeshadriStatus,
     blow_up,
 )
-from surfpos.lattice import PointSpec, pairing
+from surfpos.lattice import GenericFamily, PointSpec, pairing
 from surfpos.okounkov import polygon_area, polygon_contains
 
 from conftest import seeded_rng
@@ -37,6 +38,18 @@ def test_blow_up_p2_generic():
     classes = {c.cls for c in bm.curves}
     assert (0, 1) in classes and (1, -1) in classes
     assert bm.completeness_declared
+
+
+def test_blow_up_names_members_of_families_with_one_hint_apart():
+    """P1 x P1 with both rulings as families named "f": each acquires a
+    member through the point, and the two members get distinct names."""
+    m = sp.builtin("hirzebruch-0")
+    two = dataclasses.replace(m, generic_families=m.generic_families + (
+        GenericFamily(cls=(1, 0), mult=1, name_hint="f"),))
+    bm, _, exc = blow_up(two)
+    assert exc == "E1"
+    assert [(c.name, c.cls) for c in bm.curves[3:]] == [
+        ("f1", (0, 1, -1)), ("f2", (1, 0, -1))]
 
 
 def test_blow_up_on_exceptional_reproduces_two_step_model():
@@ -113,6 +126,20 @@ def test_mu_prime_not_big():
     b1 = sp.builtin("bl1p2")
     with pytest.raises(NotBig):
         sp.mu_prime(b1, (1, -1))
+
+
+def test_mu_prime_on_an_incomplete_base_decides_bigness_on_the_blow_up():
+    """A generic blow-up of a del Pezzo model lists every (-1)-curve again.
+    With L12 missing from bl2p2's list, L12 + A/3 is not big on the base,
+    but its pullback is big on the blow-up, which knows the curve again."""
+    m = sp.builtin("bl2p2")
+    cut = dataclasses.replace(
+        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+        completeness_declared=False)
+    d = tuple(a + Fraction(1, 3) * b
+              for a, b in zip(m.curve_class("L12"), m.ample_ref))
+    assert not sp.is_big(cut, d)
+    assert sp.mu_prime(cut, d) == Fraction(4, 3)
 
 
 def test_xi_examples():

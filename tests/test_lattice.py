@@ -222,3 +222,26 @@ def test_curve_table_agrees_with_pairing(data):
     b = data.draw(st.sampled_from(model.curves))
     assert type(model.meet(a.name, b.name)) is Fraction
     assert model.meet(a.name, b.name) == pairing(model, a.cls, b.cls)
+
+
+def fraction_pairing(model, d1, d2):
+    """d1^T . gram . d2 as a double sum of Fraction products."""
+    return sum((Fraction(a) * model.gram[i][j] * Fraction(b)
+                for i, a in enumerate(d1) for j, b in enumerate(d2)),
+               Fraction(0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_pairing_agrees_with_fraction_sum(data):
+    """pairing scales both classes to integers; its value is the plain
+    Fraction double sum, as a Fraction, on every builtin."""
+    model = sp.builtin(data.draw(st.sampled_from(BUILTIN_NAMES)))
+    entry = st.fractions(-20, 20, max_denominator=12)
+    d1, d2 = (tuple(data.draw(entry) for _ in range(model.rank))
+              for _ in range(2))
+    value = pairing(model, d1, d2)
+    assert type(value) is Fraction
+    assert value == fraction_pairing(model, d1, d2)
+    with pytest.raises(DimensionMismatch):
+        pairing(model, d1 + (Fraction(1, 2),), d2)

@@ -1,14 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos.errors import ModelInconsistency, NotBigNef, NotPseudoEffective, PointInNegLocus
-from surfpos.infinitesimal import BlowupSpec, blow_up
+from surfpos.infinitesimal import (
+    GENERIC_POINT,
+    BlowupSpec,
+    blow_up,
+    point_on_exceptional_spec,
+)
 from surfpos.lattice import SurfaceModel, pairing
 from surfpos.zariski import (
     ample_perturbation,
+    is_big,
     is_pseudo_effective,
+    neg_curves_through,
     pullback_zariski_check,
     zariski_decompose,
 )
@@ -184,6 +193,38 @@ def test_pullback_zariski_check_point_in_neg():
     bm1, pb1, exc1 = blow_up(b1)
     with pytest.raises(PointInNegLocus):
         pullback_zariski_check(b1, bm1, pb1, (3, 1), {"E": 1})
+
+
+PULLBACK_MODELS = ("p2", "bl1p2", "bl2p2", "bl3p2", "hirzebruch-0",
+                   "hirzebruch-2", "example-interesting",
+                   "example-interesting-base")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_pullback_of_a_big_class_is_big_and_decomposes_as_pulled_back(data):
+    """The facts that let a blow-up walk skip its own LP: at a generic
+    point, at a point on one curve and at a point on E of bl1p2, the
+    pullback of a big class is big, and off Neg(D) its decomposition is the
+    pullback of D's."""
+    model = sp.builtin(data.draw(st.sampled_from(PULLBACK_MODELS)))
+    specs = [GENERIC_POINT] + [BlowupSpec(mults={c.name: 1})
+                               for c in model.curves]
+    if model.has_curve("E"):
+        specs.append(point_on_exceptional_spec(model))
+    spec = data.draw(st.sampled_from(specs))
+    # a non-negative combination of the curves, plus an ample class
+    d = tuple(Fraction(1, 3) * a for a in model.ample_ref)
+    for g in model.effective_gens():
+        c = data.draw(st.fractions(0, 4, max_denominator=3))
+        d = tuple(x + c * y for x, y in zip(d, g))
+    assert is_big(model, d)
+    bm, pullback, _ = blow_up(model, spec)
+    assert is_big(bm, pullback(d))
+    if not neg_curves_through(model, zariski_decompose(model, d),
+                              spec.mults):
+        assert pullback_zariski_check(model, bm, pullback, d, spec.mults,
+                                      spec.renames)
 
 
 def test_relative_marker_on_incomplete_models():
