@@ -111,7 +111,8 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     Returns (new model, pullback map on divisor classes, exceptional name).
     At a generic point of a del Pezzo model the complete list of new
     (-1)-classes is enumerated automatically; at special points the caller
-    declares the new negative curves.
+    declares the new negative curves.  When the base declares effective
+    generators, the blow-up declares their pullbacks and its own curves.
     """
     rho = model.rank
     for name, m in spec.mults.items():
@@ -202,6 +203,11 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     else:
         metadata = {"family": "blow-up",
                     "base": model.metadata.get("family", "?")}
+    generators = None
+    if model.effective_generators is not None:
+        # pullbacks of effective classes stay effective
+        generators = tuple(pullback(g) for g in model.effective_generators) \
+            + tuple(scalars.vector(c.cls) for c in curves)
     new_model = SurfaceModel(
         rank=rho + 1,
         basis_labels=labels,
@@ -209,6 +215,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
         curves=tuple(curves),
         ample_ref=ample,
         canonical=canonical,
+        effective_generators=generators,
         completeness_declared=complete,
         ample_ref_is_ample=ample_is_ample,
         points={"generic": PointSpec(on_curve=exc, generic=True)},
@@ -290,38 +297,45 @@ def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
     infinitesimal polygon at x; independent of the point y on E."""
-    return _xi_and_polygon(model, d, x, GENERIC_Y)[0]
+    return _xi_and_polygon(model, d, x)[0]
 
 
 def _xi_and_polygon(model: SurfaceModel, d: Sequence, x: BlowupSpec,
-                    y: InfFlagSpec) -> tuple[ExactScalar, NOPolygon]:
-    """xi, and the infinitesimal polygon at y read off the same walk."""
+                    y: Optional[InfFlagSpec] = None
+                    ) -> tuple[Optional[ExactScalar], Optional[NOPolygon]]:
+    """xi, and the infinitesimal polygon at y if y is given, read off one
+    walk.  On the negative locus xi is undefined: with y given it is None,
+    and without, PointInNegLocus is raised."""
     d = model.divisor(d)
     pair = zariski.big_decomposition(model, d)
     if pair is None:
         raise NotBig("xi needs a big class")
     through = zariski.neg_curves_through(model, pair, x.mults)
-    if through:
+    if not through:
+        return _xi_off_neg_locus(model, d, x, pair, y)
+    if y is None:
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_off_neg_locus(model, d, x, pair, y)
+    _, _, walk, point = _blown_up_walk(model, d, x, pair=pair, y=y)
+    return None, walk.polygon(point)
 
 
 def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass, x: BlowupSpec,
-                      pair: zariski.ZariskiPair, y: InfFlagSpec = GENERIC_Y
-                      ) -> tuple[ExactScalar, NOPolygon]:
+                      pair: zariski.ZariskiPair,
+                      y: Optional[InfFlagSpec] = None
+                      ) -> tuple[ExactScalar, Optional[NOPolygon]]:
     """xi of a big class at a point off its negative locus, given its
-    decomposition, and its infinitesimal polygon at y.  xi is computed at
-    a generic y and re-verified at every special direction, all on one
-    walk."""
-    bm, exc, walk, _ = _blown_up_walk(model, d, x, pair=pair)
+    decomposition, and its infinitesimal polygon at y if y is given.  xi
+    is computed at a generic y and re-verified at every special direction,
+    all on one walk and without vertices."""
+    bm, exc, walk, point = _blown_up_walk(model, d, x, pair=pair, y=y)
     value = okounkov.largest_inverted_simplex(
-        walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
+        walk.bounds(_flag_point(bm, exc, GENERIC_Y)))
     for name in exceptional_directions(bm, exc):
-        special = walk.polygon(_flag_point(bm, exc, InfFlagSpec(on=name)))
+        special = walk.bounds(_flag_point(bm, exc, InfFlagSpec(on=name)))
         if okounkov.largest_inverted_simplex(special) != value:
             raise ModelInconsistency(
                 f"xi depends on the direction {name}; model data is wrong")
-    return value, walk.polygon(_flag_point(bm, exc, y))
+    return value, None if point is None else walk.polygon(point)
 
 
 class SeshadriStatus(enum.Enum):

@@ -10,7 +10,9 @@ Divisor classes are plain tuples of Fractions in the model basis.
 Every pairing against the curve list reads one integer table per model,
 the row gram . C of each listed curve C, built on first use and read by
 :meth:`SurfaceModel.curve_pairings` and :meth:`SurfaceModel.meet`, which
-return Fractions.  :func:`pairing` pairs two arbitrary classes.
+return Fractions, and by :meth:`SurfaceModel.curve_dots`, which pairs an
+integer vector and returns integers.  :func:`pairing` pairs two arbitrary
+classes, and :func:`int_pairing` two integer vectors.
 """
 
 from __future__ import annotations
@@ -113,8 +115,13 @@ class SurfaceModel:
 
     def curve_pairings(self, d: Sequence) -> dict[str, Fraction]:
         """d . C for every listed curve C, by name in curve order."""
-        num, den = _scaled(self.divisor(d))
-        return {n: Fraction(sum(map(mul, row, num)), den)
+        num, den = scaled(self.divisor(d))
+        return {n: Fraction(v, den) for n, v in self.curve_dots(num).items()}
+
+    def curve_dots(self, num: Sequence[int]) -> dict[str, int]:
+        """num . C for every listed curve C, for an integer vector num, by
+        name in curve order."""
+        return {n: sum(map(mul, row, num))
                 for n, (_, row) in self._curve_table.items()}
 
     def meet(self, a: str, b: str) -> Fraction:
@@ -150,8 +157,8 @@ class SurfaceModel:
         raise KeyError(name)
 
 
-def _scaled(v: DivisorClass) -> tuple[list[int], int]:
-    """Integers num and den with v = num / den."""
+def scaled(v: DivisorClass) -> tuple[list[int], int]:
+    """Integers num and den > 0 with v = num / den."""
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den
 
@@ -162,10 +169,15 @@ def pairing(model: SurfaceModel, d1: Sequence, d2: Sequence) -> Fraction:
     v1, v2 = vector(d1), vector(d2)
     if len(v1) != model.rank or len(v2) != model.rank:
         raise DimensionMismatch("divisor dimension does not match model rank")
-    (num1, den1), (num2, den2) = _scaled(v1), _scaled(v2)
-    return Fraction(sum(a * sum(map(mul, row, num2))
-                        for a, row in zip(num1, model.gram) if a),
-                    den1 * den2)
+    (num1, den1), (num2, den2) = scaled(v1), scaled(v2)
+    return Fraction(int_pairing(model, num1, num2), den1 * den2)
+
+
+def int_pairing(model: SurfaceModel, u: Sequence[int],
+                v: Sequence[int]) -> int:
+    """u^T . gram . v for integer vectors u and v."""
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, model.gram)
+               if a)
 
 
 def self_intersection(model: SurfaceModel, d: Sequence) -> Fraction:

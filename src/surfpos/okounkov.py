@@ -9,11 +9,13 @@ Between walls the support of N_t is constant and its coefficients are
 affine in t.  Walls occur where P_t stops pairing positively with a new
 curve; each is crossed by the decomposition fixpoint run on D - sC just
 past it (:func:`surfpos.zariski.chamber`).  The walk ends where (P_t)^2
-vanishes, the only breakpoint that may be a quadratic irrational.  The
-walk depends on D and C only and x enters only through alpha, so one walk
-serves every point of C.  The polygon is convex, so a simplex lies inside
-it exactly when its vertices do: lambda and xi are read off the boundary
-at those vertices.
+vanishes, the only breakpoint that may be a quadratic irrational.  It
+reads the candidate walls and that quadratic off the chamber's integer
+data.  The walk depends on D and C only and x enters only through alpha,
+so one walk serves every point of C.  The polygon is convex, so a simplex
+lies inside it exactly when its vertices do: lambda and xi are read off
+the boundary at those vertices, from the pieces alone (:class:`PolygonBounds`).  Only a returned
+:class:`NOPolygon` computes its vertex cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import scalars, zariski
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     NoRealRoot,
     OutOfRange,
 )
-from .lattice import DivisorClass, PointSpec, SurfaceModel, pairing
+from .lattice import DivisorClass, PointSpec, SurfaceModel, int_pairing
 from .scalars import ExactScalar, positive_quadratic_root, vector
 
 Affine = tuple[Fraction, Fraction]  # value c0 + c1 * t
@@ -54,6 +56,16 @@ class PolygonPiece:
     alpha: Affine
     beta: Affine
     support: tuple[str, ...]
+
+
+class PolygonBounds(NamedTuple):
+    """A polygon as nu <= t <= mu, alpha(t) <= y <= beta(t), piece by
+    piece, without its vertices: all that the inverted simplex reads."""
+
+    nu: Fraction
+    mu: ExactScalar
+    pieces: tuple[PolygonPiece, ...]
+    flag_curve: str
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,10 @@ class Walk:
     flag_curve: str
     pieces: tuple[WalkPiece, ...]
 
-    def polygon(self, point: PointSpec) -> NOPolygon:
-        """The polygon for the flag (C, point): alpha weighs the negative
-        part by the local multiplicities at the point."""
+    def bounds(self, point: PointSpec) -> PolygonBounds:
+        """The polygon for the flag (C, point) without its vertices: alpha
+        weighs the negative part by the local multiplicities at the
+        point."""
         pieces = []
         for t_lo, t_hi, coeffs, blen in self.pieces:
             alpha = (sum((c0 * point.mult(n)
@@ -127,9 +140,14 @@ class Walk:
             beta = (alpha[0] + blen[0], alpha[1] + blen[1])
             pieces.append(PolygonPiece(t_lo, t_hi, alpha, beta,
                                        tuple(coeffs)))
-        return NOPolygon(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
-                         flag_curve=self.flag_curve,
-                         vertices=_vertices(self.nu, self.mu, pieces))
+        return PolygonBounds(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
+                             flag_curve=self.flag_curve)
+
+    def polygon(self, point: PointSpec) -> NOPolygon:
+        """The polygon for the flag (C, point), with its vertices."""
+        b = self.bounds(point)
+        return NOPolygon(**b._asdict(),
+                         vertices=_vertices(b.nu, b.mu, b.pieces))
 
 
 def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
@@ -154,23 +172,19 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     t0 = nu
     guard = len(model.curves) * (model.rank + 2) + 4
     for _ in range(guard):
-        # walls: P_t . C drops to 0 for a curve outside the support; a
-        # coefficient crossing 0 (inconsistent data) is a wall too, so that
-        # the fixpoint past it diagnoses it
-        walls = [-v0 / v1 for v0, v1 in (*chamber.pairings.values(),
-                                         *chamber.coeffs.values())
-                 if v1 < 0 and _ev((v0, v1), t0) > 0]
+        next_wall = _next_wall(chamber, t0)
         p0, p1 = chamber.p0, chamber.p1
+        e0, e1 = chamber.den0, chamber.den1
         mu_candidate: Optional[ExactScalar]
         try:
-            # (P_t)^2 as a quadratic in t
+            # (P_t)^2 as a quadratic in t, times (den0 * den1)^2
             mu_candidate = positive_quadratic_root(
-                pairing(model, p1, p1), 2 * pairing(model, p0, p1),
-                pairing(model, p0, p0), t0)
+                int_pairing(model, p1, p1) * e0 * e0,
+                2 * int_pairing(model, p0, p1) * e0 * e1,
+                int_pairing(model, p0, p0) * e1 * e1, t0)
         except NoRealRoot:
             mu_candidate = None
-        next_wall = min(walls) if walls else None
-        blen = chamber.pairings[flag_curve]
+        blen = chamber.curve_pairing(flag_curve)
         if mu_candidate is not None and (next_wall is None
                                          or mu_candidate <= next_wall):
             pieces.append((t0, mu_candidate, chamber.coeffs, blen))
@@ -190,13 +204,29 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     return Walk(nu=nu, mu=mu, flag_curve=flag_curve, pieces=tuple(pieces))
 
 
+def _next_wall(chamber: zariski.Chamber, t0: Fraction) -> Optional[Fraction]:
+    """The first wall past t0: where P_t . C drops to 0 for a curve outside
+    the support, its sign at t0 read on integers.  A coefficient crossing 0
+    (inconsistent data) is a wall too, so that the fixpoint past it
+    diagnoses it."""
+    tn, td = t0.numerator, t0.denominator
+    e0, e1 = chamber.den0, chamber.den1
+    # n0/e0 + t*n1/e1 falls, and is positive at t0
+    walls = [Fraction(n0 * e1, -n1 * e0)
+             for n0, n1 in chamber.pairings.values()
+             if n1 < 0 and n0 * e1 * td + tn * n1 * e0 > 0]
+    walls += [-c0 / c1 for c0, c1 in chamber.coeffs.values()
+              if c1 < 0 and _ev((c0, c1), t0) > 0]
+    return min(walls) if walls else None
+
+
 def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
                      point: PointSpec) -> NOPolygon:
     """Exact Newton-Okounkov polygon of a big class for the flag (C, x)."""
     return chamber_walk(model, d, flag_curve).polygon(point)
 
 
-def _vertices(nu, mu, pieces: list[PolygonPiece]) -> tuple[Point, ...]:
+def _vertices(nu, mu, pieces: Sequence[PolygonPiece]) -> tuple[Point, ...]:
     lower: list[Point] = []
     upper: list[Point] = []
     for p in pieces:
@@ -270,7 +300,7 @@ def polygon_equal(p1: NOPolygon, p2: NOPolygon) -> bool:
     return set(p1.vertices) == set(p2.vertices)
 
 
-def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
+def alpha_zero_prefix(poly: NOPolygon | PolygonBounds) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
     for p in poly.pieces:
         v = _ev(p.alpha, p.t_lo)
@@ -299,7 +329,8 @@ def largest_simplex(poly: NOPolygon) -> ExactScalar:
     return t_alpha if t_alpha <= b0 else b0
 
 
-def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
+def largest_inverted_simplex(poly: NOPolygon | PolygonBounds
+                             ) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon."""
     if poly.nu != 0:
         return Fraction(0)

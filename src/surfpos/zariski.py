@@ -7,10 +7,17 @@ candidate positive part still pairs negatively with, until stable.  With a
 complete curve list the result is the unique decomposition.  Run on
 d + s*slope with signs read just right of s = t, the same fixpoint gives
 the chamber of a Newton-Okounkov walk past a wall (:func:`chamber`).
+
+The fixpoint runs on integers: P = p0 + s*p1 is kept as integer vectors
+over one denominator each, every P.C is an integer dot with the model's
+curve table, and every sign is decided by cross-multiplying.  Fractions
+are built only for the negative-part coefficients, which the Gram solve
+returns, and for what a caller of the chamber reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -27,6 +34,7 @@ from .lattice import (
     SurfaceModel,
     cone_contains,
     pairing,
+    scaled,
     self_intersection,
 )
 from .scalars import is_negative_definite, solve_linear, vector
@@ -58,16 +66,47 @@ def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
 
 
 class Chamber(NamedTuple):
-    """Zariski data of d + s*slope just right of s = t: N is the sum of
-    (c0 + s*c1) * C over ``support`` (in curve order) with coeffs[C] =
-    (c0, c1), P = p0 + s*p1, and ``pairings`` holds P.C as (c0, c1) for the
-    other curves.  With no slope, p1 is None and every c1 is 0."""
+    """Zariski data of d + s*slope just right of s = t, on integers.
+
+    N is the sum of (c0 + s*c1) * C over ``support`` (in curve order) with
+    coeffs[C] = (c0, c1).  P = p0/den0 + s*p1/den1 for integer vectors p0
+    and p1, and ``pairings`` holds, for every curve outside the candidate
+    support, the integers (n0, n1) with P.C = n0/den0 + s*n1/den1.  With
+    no slope, p1 is zero and every c1 and n1 is 0."""
 
     support: tuple[str, ...]
     coeffs: dict[str, tuple[Fraction, Fraction]]
-    pairings: dict[str, tuple[Fraction, Fraction]]
-    p0: DivisorClass
-    p1: Optional[DivisorClass]
+    pairings: dict[str, tuple[int, int]]
+    p0: tuple[int, ...]
+    den0: int
+    p1: tuple[int, ...]
+    den1: int
+
+    def positive_part(self) -> DivisorClass:
+        """P at s = 0."""
+        return tuple(Fraction(x, self.den0) for x in self.p0)
+
+    def curve_pairing(self, name: str) -> tuple[Fraction, Fraction]:
+        """P.C as (value at s = 0, slope) for a curve outside the support."""
+        n0, n1 = self.pairings[name]
+        return Fraction(n0, self.den0), Fraction(n1, self.den1)
+
+
+def _combine(model: SurfaceModel, num: Sequence[int], den: int,
+             names: Sequence[str], coeffs: Sequence[Fraction]
+             ) -> tuple[tuple[int, ...], int]:
+    """num/den - sum(a * C) over the curves ``names`` with coefficients a,
+    as an integer vector over one denominator."""
+    out_den = math.lcm(den, *(a.denominator for a in coeffs))
+    k = out_den // den
+    out = [k * x for x in num]
+    for n, a in zip(names, coeffs):
+        if a:
+            f = a.numerator * (out_den // a.denominator)
+            for i, c in enumerate(model.curve(n).cls):
+                if c:
+                    out[i] -= f * c
+    return tuple(out), out_den
 
 
 def chamber(model: SurfaceModel, d: DivisorClass,
@@ -81,46 +120,57 @@ def chamber(model: SurfaceModel, d: DivisorClass,
     s = t + eps, an affine quantity v0 + s*v1 is negative when
     (v0 + t*v1, v1) is lexicographically negative, so the result is the
     decomposition of d + (t+eps)*slope; with no slope it is that of d.
+    P is kept as integer vectors over one denominator each, every P.C is
+    an integer dot with the model's curve table, and every sign is decided
+    on integers.
     """
-    def negative(v0, v1) -> bool:
-        v = v0 + t * v1 if v1 else v0
-        return v < 0 or (v == 0 and v1 < 0)
+    tn, td = t.numerator, t.denominator
 
-    d_pairs = model.curve_pairings(d)
-    s_pairs = model.curve_pairings(slope) if slope is not None else None
+    def negative(n0: int, e0: int, n1: int, e1: int) -> bool:
+        # n0/e0 + s*n1/e1 just right of s = t, with e0, e1 > 0
+        v = n0 * e1 * td + tn * n1 * e0
+        return v < 0 or (v == 0 and n1 < 0)
+
+    d0, e0 = scaled(d)
+    d1, e1 = scaled(slope) if slope is not None else ([0] * model.rank, 1)
+    d_dots = model.curve_dots(d0)
+    s_dots = model.curve_dots(d1) if slope is not None else None
     names = list(support)
     while True:
         coeffs: dict[str, tuple[Fraction, Fraction]] = {}
-        p0, p1 = d, slope
+        p0, den0, p1, den1 = d0, e0, d1, e1
         if names:
             gram = model.gram_submatrix(names)
             if not is_negative_definite(gram):
                 raise ModelInconsistency(
                     "support Gram matrix not negative definite for "
                     f"{names}; curve list is incomplete or wrong")
-            sol0 = solve_linear(gram, [d_pairs[n] for n in names])
-            sol1 = (solve_linear(gram, [s_pairs[n] for n in names])
-                    if slope is not None else (0,) * len(names))
+            sol0 = [x / e0 for x in
+                    solve_linear(gram, [d_dots[n] for n in names])]
+            sol1 = ([x / e1 for x in
+                     solve_linear(gram, [s_dots[n] for n in names])]
+                    if slope is not None else [Fraction(0)] * len(names))
             for n, a0, a1 in zip(names, sol0, sol1):
-                if negative(a0, a1):
+                if negative(a0.numerator, a0.denominator,
+                            a1.numerator, a1.denominator):
                     raise ModelInconsistency(
                         f"negative coefficient in candidate negative part "
                         f"on {names}")
                 coeffs[n] = (a0, a1)
-                c = model.curve_class(n)
-                p0 = scalars.vec_sub(p0, scalars.vec_scale(a0, c))
-                if slope is not None:
-                    p1 = scalars.vec_sub(p1, scalars.vec_scale(a1, c))
-        q0 = model.curve_pairings(p0)
-        q1 = (model.curve_pairings(p1) if slope is not None
+            p0, den0 = _combine(model, d0, e0, names, sol0)
+            if slope is not None:
+                p1, den1 = _combine(model, d1, e1, names, sol1)
+        q0 = model.curve_dots(p0)
+        q1 = (model.curve_dots(p1) if slope is not None
               else dict.fromkeys(q0, 0))
         pairings = {n: (v, q1[n]) for n, v in q0.items() if n not in coeffs}
-        entering = [n for n, v in pairings.items() if negative(*v)]
+        entering = [n for n, (v0, v1) in pairings.items()
+                    if negative(v0, den0, v1, den1)]
         if not entering:
             order = tuple(n for n in q0
                           if n in coeffs and coeffs[n] != (0, 0))
             return Chamber(order, {n: coeffs[n] for n in order}, pairings,
-                           p0, p1)
+                           tuple(p0), den0, tuple(p1), den1)
         names += entering
 
 
@@ -130,7 +180,7 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
         coords = ", ".join(str(x) for x in d)
         raise NotPseudoEffective(f"({coords}) is not in the effective cone")
     ch = chamber(model, d)
-    return ZariskiPair(P=ch.p0,
+    return ZariskiPair(P=ch.positive_part(),
                        N_coeffs={n: a for n, (a, _) in ch.coeffs.items()},
                        support=ch.support,
                        relative=not model.completeness_declared)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import surfpos as sp
 from surfpos.lattice import PointSpec
+from surfpos.scalars import Quad
 
 MATRIX_MODELS = ["p2", "bl1p2", "bl2p2", "bl3p2", "hirzebruch-2",
                  "example-interesting"]
@@ -114,6 +115,27 @@ def grid_points(poly, step=Fraction(1, 64)):
     if isinstance(poly.mu, Fraction) and (not out or out[-1] != poly.mu):
         out.append(poly.mu)
     return out
+
+
+def assert_breakpoint_oracle(configs):
+    """Chamber-walk alpha/beta equal independent per-t decompositions,
+    exactly, at every rational breakpoint and at one rational t inside
+    every piece."""
+    for name, model, d, flag_curve, point in configs:
+        poly = sp.okounkov_polygon(model, d, flag_curve, point)
+        ts = {poly.nu}
+        for p in poly.pieces:
+            if isinstance(p.t_hi, Quad):
+                inside = (p.t_lo + Fraction(float(p.t_hi))) / 2
+            else:
+                ts.add(p.t_hi)
+                inside = (p.t_lo + p.t_hi) / 2
+            assert p.t_lo < inside < p.t_hi, (name, d, flag_curve)
+            ts.add(inside)
+        for t in ts:
+            assert (poly.alpha(t), poly.beta(t)) == \
+                oracle_alpha_beta(model, d, flag_curve, point, t), \
+                (name, d, flag_curve, t)
 
 
 def assert_grid_oracle(configs, step=Fraction(1, 64)):

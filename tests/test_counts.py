@@ -1,8 +1,9 @@
 """Deterministic work counts: how many pseudo-effectivity LPs, plain
-decomposition fixpoints, chamber walks, blow-ups and plain pairings one
-query runs.  These pin that a walk decides bigness once, that xi and moving
-Seshadri constants walk once, and that pairings with the curve list read
-the model's curve table."""
+decomposition fixpoints, chamber walks, blow-ups, plain pairings and
+polygon vertex sets one query runs.  These pin that a walk decides bigness
+once, that xi and moving Seshadri constants walk once and build no
+vertices, and that pairings with the curve list read the model's curve
+table."""
 
 from __future__ import annotations
 
@@ -63,17 +64,38 @@ def walks(monkeypatch):
 
 
 @pytest.fixture
+def vertices(monkeypatch):
+    """Count calls of okounkov._vertices: polygons built with vertices."""
+    n = {"vertices": 0}
+    real = okounkov._vertices
+
+    def counted_vertices(*args, **kwargs):
+        n["vertices"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(okounkov, "_vertices", counted_vertices)
+    return n
+
+
+@pytest.fixture
 def pairings(monkeypatch):
-    """Count calls of lattice.pairing through every module that binds it."""
+    """Count calls of lattice.pairing through every module that binds it,
+    and of lattice.int_pairing in the chamber walk, which pairs the
+    integer vectors of P_t."""
     n = {"pairing": 0}
-    pairing = lattice.pairing
+    pairing, int_pairing = lattice.pairing, lattice.int_pairing
 
     def counted_pairing(*args, **kwargs):
         n["pairing"] += 1
         return pairing(*args, **kwargs)
 
-    for module in (lattice, zariski, okounkov, seshadri):
+    def counted_int_pairing(*args, **kwargs):
+        n["pairing"] += 1
+        return int_pairing(*args, **kwargs)
+
+    for module in (lattice, zariski, seshadri):
         monkeypatch.setattr(module, "pairing", counted_pairing)
+    monkeypatch.setattr(okounkov, "int_pairing", counted_int_pairing)
     return n
 
 
@@ -119,6 +141,40 @@ def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
     assert doc["xi"] == "2" and doc["mu_prime"] == "3"
     assert counts["lp"] == 1
     assert walks == {"walk": 1, "blowup": 1}
+
+
+def test_cli_infinitesimal_on_the_negative_locus_decides_bigness_once(
+        counts, walks, tmp_path):
+    """At a point on Neg(D), xi is null and the polygon comes from the
+    decomposition already made for xi: one LP, one blow-up."""
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"mults": {"E1": 1}}))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["infinitesimal", "--model", "builtin:bl3p2",
+                     "--divisor", "2H+E1", "--point", str(point)])
+    assert code == 0
+    assert json.loads(out.getvalue())["xi"] is None
+    assert counts["lp"] == 1
+    assert walks == {"walk": 1, "blowup": 1}
+
+
+@pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri])
+def test_xi_builds_no_vertices(vertices, query):
+    """xi is read off the pieces of the walk at the generic y and at each
+    special direction; no polygon vertices are built."""
+    m = sp.builtin("bl3p2")
+    query(m, anti_canonical(m))
+    assert vertices["vertices"] == 0
+
+
+def test_cli_infinitesimal_builds_one_vertex_set(vertices):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["infinitesimal", "--model", "builtin:bl3p2",
+                     "--divisor", "3H-E1-E2-E3"])
+    assert code == 0
+    assert vertices["vertices"] == 1
 
 
 def test_shift_check_decides_bigness_once_per_class(counts):

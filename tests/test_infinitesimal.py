@@ -83,6 +83,26 @@ def test_blow_up_of_bl8_is_not_complete():
     assert bm.metadata["family"] == "blow-up"
 
 
+def test_blow_up_pulls_back_declared_generators():
+    """bl2p2 with L12 dropped from the curve list but kept among declared
+    generators: the blow-up declares the pullbacks of the generators and
+    its own curves, so a pulled-back class is big exactly when the base
+    class is."""
+    m = sp.builtin("bl2p2")
+    base = dataclasses.replace(
+        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+        effective_generators=tuple(m.curve_class(c.name) for c in m.curves))
+    bm, pb, exc = blow_up(base, BlowupSpec(mults={"E2": 1}))
+    assert bm.effective_generators == (
+        tuple(pb(g) for g in base.effective_generators)
+        + tuple(bm.curve_class(c.name) for c in bm.curves))
+    d = tuple(a + b / 3 for a, b in zip(m.curve_class("L12"), m.ample_ref))
+    assert sp.is_big(base, d)
+    assert sp.is_big(bm, pb(d)) == sp.is_big(base, d)
+    # mu' walks on the blow-up, whose LP now finds the class
+    assert sp.mu_prime(base, d, BlowupSpec(mults={"E2": 1})) > 0
+
+
 def test_blown_up_model_round_trips(tmp_path):
     b1 = sp.builtin("bl1p2")
     bm, pb, exc = blow_up(b1, EX_SPEC)

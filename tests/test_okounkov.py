@@ -18,9 +18,9 @@ from surfpos.okounkov import (
     vertical_slice,
 )
 from conftest import (
+    assert_breakpoint_oracle,
     grid_points,
     matrix_configs,
-    oracle_alpha_beta,
     seeded_rng,
 )
 
@@ -135,24 +135,9 @@ def test_breakpoint_oracle_full_matrix():
     exactly, at every rational breakpoint and at one rational t inside
     every piece, so a wall the walk misses shows however close it is."""
     b6 = sp.builtin("bl6p2")
-    configs = matrix_configs() + [
+    assert_breakpoint_oracle(matrix_configs() + [
         ("bl6p2", b6, b6.divisor([-x for x in b6.canonical]), "E1",
-         PointSpec(on_curve="E1", generic=True))]
-    for name, model, d, flag_curve, point in configs:
-        poly = okounkov_polygon(model, d, flag_curve, point)
-        ts = {poly.nu}
-        for p in poly.pieces:
-            if isinstance(p.t_hi, Quad):
-                inside = (p.t_lo + Fraction(float(p.t_hi))) / 2
-            else:
-                ts.add(p.t_hi)
-                inside = (p.t_lo + p.t_hi) / 2
-            assert p.t_lo < inside < p.t_hi, (name, d, flag_curve)
-            ts.add(inside)
-        for t in ts:
-            assert (poly.alpha(t), poly.beta(t)) == \
-                oracle_alpha_beta(model, d, flag_curve, point, t), \
-                (name, d, flag_curve, t)
+         PointSpec(on_curve="E1", generic=True))])
 
 
 def test_area_equals_half_volume_on_matrix():

@@ -1,0 +1,220 @@
+"""Property tests over generated models, classes and flags (hypothesis,
+derandomized so that every run draws the same examples).
+
+The models are p2 ... bl5p2, hirzebruch-0 ... hirzebruch-6 and
+example-interesting, and of each its blow-ups at a generic point, at a
+point of a listed curve, and at the point of that blow-up's exceptional
+curve in the direction of the curve (tangent).  The properties:
+
+- the Zariski decomposition meets its definition, checked with
+  ``lattice.pairing`` and ``scalars.signature`` only;
+- the chamber walk equals the per-t oracle at every rational breakpoint
+  and inside every piece;
+- xi equals the largest inverted simplex of the full infinitesimal
+  polygon at the generic y and at every special direction.
+
+The last two need every negative curve listed, so they run on the models
+whose curve list is declared complete.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Optional
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import surfpos as sp
+from surfpos import models as models_mod
+from surfpos.errors import PointInNegLocus
+from surfpos.infinitesimal import (
+    GENERIC_POINT,
+    BlowupSpec,
+    InfFlagSpec,
+    blow_up,
+    exceptional_directions,
+    point_on_exceptional_spec,
+)
+from surfpos.lattice import PointSpec, pairing
+from surfpos.scalars import signature
+
+from conftest import assert_breakpoint_oracle
+
+BASES = (["p2"] + [f"bl{r}p2" for r in range(1, 6)]
+         + [f"hirzebruch-{n}" for n in range(7)] + ["example-interesting"])
+KINDS = ("base", "generic", "on-curve", "tangent")
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def on_curve_point(model) -> Optional[tuple[str, BlowupSpec]]:
+    """A point of a curve, with every negative curve of the blow-up
+    declared, and the curve.
+
+    p2, hirzebruch-n and example-interesting at a torus-fixed point stay
+    toric, so the strict transforms of the boundary (and the fibre through
+    the point on hirzebruch-n) generate the effective cone.  bl_r p2 at a
+    general point of E_r is a weak del Pezzo surface: its negative curves
+    are the (-2)-curve left by E_r and the (-1)-classes meeting it
+    non-negatively.  A model that is itself a blow-up has none."""
+    family = model.metadata["family"]
+    if family == "blow-up":
+        return None
+    if family == "hirzebruch":
+        return "C0", BlowupSpec(mults={"C0": 1},
+                                extra_curves=(("g", (0, 1, -1)),),
+                                extra_complete=True)
+    if family == "example-interesting":
+        return "E1", BlowupSpec(mults={"E1": 1, "E2": 1},
+                                extra_complete=True)
+    if model.rank == 1:
+        return "L", BlowupSpec(mults={"L": 1}, extra_complete=True)
+    curve = model.curves[0].name
+    plain, _, exc = blow_up(model, BlowupSpec(mults={curve: 1}))
+    present = {c.cls for c in plain.curves}
+    extras = tuple(
+        (f"C{i}", cls) for i, cls in enumerate(
+            models_mod.enumerate_minus_one_curves(model.rank))
+        if cls not in present
+        and pairing(plain, cls, plain.curve_class(exc)) > 0
+        and pairing(plain, cls, plain.curve_class(curve)) >= 0)
+    return curve, BlowupSpec(mults={curve: 1}, extra_curves=extras,
+                             extra_complete=True)
+
+
+def points(model) -> dict:
+    """Points to blow up, by kind: generic, and on a curve with the
+    blow-up's curves declared where :func:`on_curve_point` knows them;
+    bl1p2 also declares the point of E tangent to a line."""
+    out = {"generic": GENERIC_POINT}
+    on_curve = on_curve_point(model)
+    if on_curve is not None:
+        out["on-curve"] = on_curve[1]
+    if model.metadata.get("r") == "1":
+        out["tangent"] = point_on_exceptional_spec(model)
+    return out
+
+
+@lru_cache(maxsize=None)
+def model_of(base: str, kind: str):
+    """A base model or one of its blow-ups.  The tangent blow-up blows up
+    the on-curve blow-up again, where the curve's strict transform meets
+    the exceptional curve; it is declared complete where it stays toric."""
+    model = sp.builtin(base)
+    if kind == "base":
+        return model
+    x = points(model).get(kind)
+    if x is not None:
+        return blow_up(model, x)[0]
+    curve, x = on_curve_point(model)
+    bm, _, exc = blow_up(model, x)
+    toric = model.metadata["family"] != "del-pezzo" or model.rank == 1
+    return blow_up(bm, BlowupSpec(mults={exc: 1, curve: 1},
+                                  extra_complete=toric))[0]
+
+
+def models():
+    return st.tuples(st.sampled_from(BASES), st.sampled_from(KINDS))
+
+
+@lru_cache(maxsize=None)
+def complete_models() -> tuple:
+    """The generated models whose curve lists are declared complete: the
+    walk and xi properties need every negative curve listed."""
+    return tuple((b, k) for b in BASES for k in KINDS
+                 if model_of(b, k).completeness_declared)
+
+
+@st.composite
+def big_classes(draw, model):
+    """a * A + (a few non-negative multiples of effective generators), with
+    A the reference class, which is big; a = 0 gives a pseudo-effective
+    class that may not be big."""
+    gens = model.effective_gens()
+    a = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+    d = [a * x for x in model.ample_ref]
+    for _ in range(draw(st.integers(0, 3))):
+        g = gens[draw(st.integers(0, len(gens) - 1))]
+        c = draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+        d = [x + c * y for x, y in zip(d, g)]
+    if all(x == 0 for x in d):
+        d = list(model.ample_ref)
+    return model.divisor(d)
+
+
+def combination(model, coeffs) -> tuple:
+    out = [Fraction(0)] * model.rank
+    for name, a in coeffs.items():
+        out = [x + a * y for x, y in zip(out, model.curve_class(name))]
+    return tuple(out)
+
+
+@SETTINGS
+@given(st.data(), models())
+def test_zariski_decomposition_meets_its_definition(data, which):
+    model = model_of(*which)
+    d = data.draw(big_classes(model))
+    pair = sp.zariski_decompose(model, d)
+    n = combination(model, pair.N_coeffs)
+    assert tuple(p + x for p, x in zip(pair.P, n)) == d
+    assert set(pair.N_coeffs) == set(pair.support)
+    assert all(a > 0 for a in pair.N_coeffs.values())
+    gram = [[pairing(model, model.curve_class(a), model.curve_class(b))
+             for b in pair.support] for a in pair.support]
+    assert signature(gram) == (0, len(pair.support), 0)
+    for c in model.curves:
+        v = pairing(model, pair.P, model.curve_class(c.name))
+        assert v >= 0, (which, d, c.name)
+        if c.name in pair.support:
+            assert v == 0, (which, d, c.name)
+
+
+@st.composite
+def flags(draw, model):
+    """A listed curve and a point on it: generic, or where another listed
+    curve meets it."""
+    flag = draw(st.sampled_from([c.name for c in model.curves]))
+    meeting = [c.name for c in model.curves
+               if c.name != flag and model.meet(c.name, flag) > 0]
+    if meeting and draw(st.booleans()):
+        other = draw(st.sampled_from(meeting))
+        return flag, PointSpec(on_curve=flag, local_mults={other: 1},
+                               generic=False)
+    return flag, PointSpec(on_curve=flag, generic=True)
+
+
+@SETTINGS
+@given(st.data())
+def test_walk_equals_the_per_t_oracle(data):
+    which = data.draw(st.sampled_from(complete_models()))
+    model = model_of(*which)
+    d = data.draw(big_classes(model))
+    if not sp.is_big(model, d):
+        d = model.divisor([x + y for x, y in zip(d, model.ample_ref)])
+    flag, point = data.draw(flags(model))
+    assert_breakpoint_oracle([(which, model, d, flag, point)])
+
+
+@SETTINGS
+@given(st.data())
+def test_xi_equals_the_full_polygons(data):
+    which = data.draw(st.sampled_from(complete_models()))
+    model = model_of(*which)
+    x = data.draw(st.sampled_from(sorted(points(model).items())))[1]
+    d = model.divisor([a + b for a, b in
+                       zip(data.draw(big_classes(model)), model.ample_ref)])
+    try:
+        value = sp.xi(model, d, x)
+    except PointInNegLocus:
+        status = sp.moving_seshadri(model, d, x).status
+        assert status is sp.SeshadriStatus.IN_NEG
+        return
+    bm, _, exc = blow_up(model, x)
+    for y in [InfFlagSpec()] + [InfFlagSpec(on=n)
+                                for n in exceptional_directions(bm, exc)]:
+        poly = sp.infinitesimal_polygon(model, d, x, y)
+        assert sp.largest_inverted_simplex(poly) == value, (which, d, y)
