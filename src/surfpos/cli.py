@@ -381,12 +381,7 @@ def run(argv=None) -> int:
         d = parse_divisor(args.divisor, model)
         x = _resolve_blowup_point(args.point, model)
         y = _resolve_y(args.y)
-        try:
-            xi_val, poly = infinitesimal._xi_and_polygon(model, d, x, y)
-        except SurfposError:
-            # no xi: walk for the polygon alone, which re-raises its errors
-            xi_val = None
-            poly = infinitesimal.infinitesimal_polygon(model, d, x, y)
+        poly, xi_val = infinitesimal._polygon_and_xi(model, d, x, y)
         extra = {"mu_prime": enc_scalar(poly.mu),
                  "xi": None if xi_val is None else enc_scalar(xi_val)}
         emit(enc_polygon(poly, extra), args)

@@ -242,7 +242,8 @@ def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
                    pair: Optional[zariski.ZariskiPair] = None,
                    y: Optional[InfFlagSpec] = None
                    ) -> tuple[SurfaceModel, str, okounkov.Walk,
-                              Optional[PointSpec]]:
+                              Optional[PointSpec],
+                              Optional[zariski.ZariskiPair]]:
     """Blow up at x and walk the pullback of d along the exceptional curve.
 
     When the base lists every curve of its effective cone, bigness comes
@@ -252,7 +253,8 @@ def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     so the blow-up runs its fixpoint but no LP.  Otherwise the blow-up may
     list curves the base misses, and the walk decides bigness on it.  The
     flag point at y, if given, is resolved before bigness is decided.
-    Returns the blow-up, the exceptional curve, the walk and that point.
+    Returns the blow-up, the exceptional curve, the walk, that point and
+    the base decomposition, None if none was given or made.
     """
     bm, pullback, exc = blow_up(model, x)
     d = model.divisor(d)
@@ -260,19 +262,20 @@ def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     up = pullback(d)
     if not (model.completeness_declared
             and model.effective_generators is None):
-        return bm, exc, okounkov.chamber_walk(bm, up, exc), point
-    if pair is None and zariski.big_decomposition(model, d) is None:
+        return bm, exc, okounkov.chamber_walk(bm, up, exc), point, pair
+    pair = pair or zariski.big_decomposition(model, d)
+    if pair is None:
         raise NotBig("polygon needs a big class")
     start = zariski.chamber(bm, up)
     return bm, exc, okounkov._walk_from(bm, up, exc, {
-        n: a for n, (a, _) in start.coeffs.items()}), point
+        n: a for n, (a, _) in start.coeffs.items()}), point, pair
 
 
 def infinitesimal_polygon(model: SurfaceModel, d: Sequence,
                           x: BlowupSpec = GENERIC_POINT,
                           y: InfFlagSpec = GENERIC_Y) -> NOPolygon:
     """Polygon of the pullback with respect to the flag (E, y)."""
-    _, _, walk, point = _blown_up_walk(model, d, x, y=y)
+    _, _, walk, point, _ = _blown_up_walk(model, d, x, y=y)
     return walk.polygon(point)
 
 
@@ -297,45 +300,48 @@ def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
     infinitesimal polygon at x; independent of the point y on E."""
-    return _xi_and_polygon(model, d, x)[0]
-
-
-def _xi_and_polygon(model: SurfaceModel, d: Sequence, x: BlowupSpec,
-                    y: Optional[InfFlagSpec] = None
-                    ) -> tuple[Optional[ExactScalar], Optional[NOPolygon]]:
-    """xi, and the infinitesimal polygon at y if y is given, read off one
-    walk.  On the negative locus xi is undefined: with y given it is None,
-    and without, PointInNegLocus is raised."""
     d = model.divisor(d)
     pair = zariski.big_decomposition(model, d)
     if pair is None:
         raise NotBig("xi needs a big class")
     through = zariski.neg_curves_through(model, pair, x.mults)
-    if not through:
-        return _xi_off_neg_locus(model, d, x, pair, y)
-    if y is None:
+    if through:
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    _, _, walk, point = _blown_up_walk(model, d, x, pair=pair, y=y)
-    return None, walk.polygon(point)
+    bm, exc, walk, _, _ = _blown_up_walk(model, d, x, pair=pair)
+    return _xi_of_walk(bm, exc, walk)
 
 
-def _xi_off_neg_locus(model: SurfaceModel, d: DivisorClass, x: BlowupSpec,
-                      pair: zariski.ZariskiPair,
-                      y: Optional[InfFlagSpec] = None
-                      ) -> tuple[ExactScalar, Optional[NOPolygon]]:
-    """xi of a big class at a point off its negative locus, given its
-    decomposition, and its infinitesimal polygon at y if y is given.  xi
-    is computed at a generic y and re-verified at every special direction,
-    all on one walk and without vertices."""
-    bm, exc, walk, point = _blown_up_walk(model, d, x, pair=pair, y=y)
+def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk
+                ) -> ExactScalar:
+    """xi off the negative locus, from the walk on the blow-up: its value
+    at a generic y, re-verified at every special direction."""
     value = okounkov.largest_inverted_simplex(
-        walk.bounds(_flag_point(bm, exc, GENERIC_Y)))
+        walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
     for name in exceptional_directions(bm, exc):
-        special = walk.bounds(_flag_point(bm, exc, InfFlagSpec(on=name)))
+        special = walk.polygon(_flag_point(bm, exc, InfFlagSpec(on=name)))
         if okounkov.largest_inverted_simplex(special) != value:
             raise ModelInconsistency(
                 f"xi depends on the direction {name}; model data is wrong")
-    return value, None if point is None else walk.polygon(point)
+    return value
+
+
+def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
+                    y: InfFlagSpec
+                    ) -> tuple[NOPolygon, Optional[ExactScalar]]:
+    """The infinitesimal polygon at y and xi, read off one walk.  The
+    polygon is built first, so its errors are those of
+    :func:`infinitesimal_polygon`.  xi is None on the negative locus, when
+    only the blow-up finds the class big, and when the model data makes it
+    depend on the direction."""
+    bm, exc, walk, point, pair = _blown_up_walk(model, d, x, y=y)
+    poly = walk.polygon(point)
+    try:
+        pair = pair or zariski.big_decomposition(model, d)
+        if pair is None or zariski.neg_curves_through(model, pair, x.mults):
+            return poly, None
+        return poly, _xi_of_walk(bm, exc, walk)
+    except ModelInconsistency:
+        return poly, None
 
 
 class SeshadriStatus(enum.Enum):
@@ -365,8 +371,9 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
            for n, v in model.curve_pairings(pair.P).items()):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
+    bm, exc, walk, _, _ = _blown_up_walk(model, d, x, pair=pair)
     return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_off_neg_locus(model, d, x, pair)[0])
+                          value=_xi_of_walk(bm, exc, walk))
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -156,6 +156,9 @@ def _hirzebruch(n: int) -> SurfaceModel:
     if n < 0:
         raise UnknownModel(f"hirzebruch-{n}")
     gram = ((-n, 1), (1, 0))
+    families = (GenericFamily(cls=(0, 1), mult=1, name_hint="f"),)
+    if n == 0:  # on P1 x P1 the ruling C0 moves too
+        families += (GenericFamily(cls=(1, 0), mult=1, name_hint="C"),)
     curves = (
         CurveRecord(name="C0", cls=(1, 0), self_int=-n, is_rational=True),
         CurveRecord(name="f", cls=(0, 1), self_int=0, is_rational=True),
@@ -170,7 +173,7 @@ def _hirzebruch(n: int) -> SurfaceModel:
         completeness_declared=True,
         points={"generic": PointSpec(on_curve="f", generic=True),
                 "on-C0": PointSpec(on_curve="C0", generic=True)},
-        generic_families=(GenericFamily(cls=(0, 1), mult=1, name_hint="f"),),
+        generic_families=families,
         metadata={"family": "hirzebruch", "n": str(n)},
     )
 

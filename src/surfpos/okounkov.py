@@ -14,16 +14,17 @@ reads the candidate walls and that quadratic off the chamber's integer
 data.  The walk depends on D and C only and x enters only through alpha,
 so one walk serves every point of C.  The polygon is convex, so a simplex
 lies inside it exactly when its vertices do: lambda and xi are read off
-the boundary at those vertices, from the pieces alone (:class:`PolygonBounds`).  Only a returned
-:class:`NOPolygon` computes its vertex cycle.
+the boundary at those vertices, from the pieces alone.  A
+:class:`NOPolygon` computes its vertex cycle when it is first read.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import scalars, zariski
 from .errors import (
@@ -58,23 +59,17 @@ class PolygonPiece:
     support: tuple[str, ...]
 
 
-class PolygonBounds(NamedTuple):
-    """A polygon as nu <= t <= mu, alpha(t) <= y <= beta(t), piece by
-    piece, without its vertices: all that the inverted simplex reads."""
-
-    nu: Fraction
-    mu: ExactScalar
-    pieces: tuple[PolygonPiece, ...]
-    flag_curve: str
-
-
 @dataclass(frozen=True)
 class NOPolygon:
     nu: Fraction
     mu: ExactScalar
     pieces: tuple[PolygonPiece, ...]
     flag_curve: str
-    vertices: tuple[Point, ...]
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertex cycle, computed on first read."""
+        return _vertices(self.nu, self.mu, self.pieces)
 
     def piece_at(self, t) -> PolygonPiece:
         if t < self.nu or t > self.mu:
@@ -127,10 +122,9 @@ class Walk:
     flag_curve: str
     pieces: tuple[WalkPiece, ...]
 
-    def bounds(self, point: PointSpec) -> PolygonBounds:
-        """The polygon for the flag (C, point) without its vertices: alpha
-        weighs the negative part by the local multiplicities at the
-        point."""
+    def polygon(self, point: PointSpec) -> NOPolygon:
+        """The polygon for the flag (C, point): alpha weighs the negative
+        part by the local multiplicities at the point."""
         pieces = []
         for t_lo, t_hi, coeffs, blen in self.pieces:
             alpha = (sum((c0 * point.mult(n)
@@ -140,14 +134,8 @@ class Walk:
             beta = (alpha[0] + blen[0], alpha[1] + blen[1])
             pieces.append(PolygonPiece(t_lo, t_hi, alpha, beta,
                                        tuple(coeffs)))
-        return PolygonBounds(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
-                             flag_curve=self.flag_curve)
-
-    def polygon(self, point: PointSpec) -> NOPolygon:
-        """The polygon for the flag (C, point), with its vertices."""
-        b = self.bounds(point)
-        return NOPolygon(**b._asdict(),
-                         vertices=_vertices(b.nu, b.mu, b.pieces))
+        return NOPolygon(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
+                         flag_curve=self.flag_curve)
 
 
 def chamber_walk(model: SurfaceModel, d: Sequence, flag_curve: str) -> Walk:
@@ -277,8 +265,6 @@ def polygon_area(poly: NOPolygon) -> ExactScalar:
 
 
 def vertical_slice(poly: NOPolygon, t) -> tuple[ExactScalar, ExactScalar]:
-    if t < poly.nu or t > poly.mu:
-        raise OutOfRange(f"t={t} outside [{poly.nu}, {poly.mu}]")
     return poly.alpha(t), poly.beta(t)
 
 
@@ -300,7 +286,7 @@ def polygon_equal(p1: NOPolygon, p2: NOPolygon) -> bool:
     return set(p1.vertices) == set(p2.vertices)
 
 
-def alpha_zero_prefix(poly: NOPolygon | PolygonBounds) -> ExactScalar:
+def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
     for p in poly.pieces:
         v = _ev(p.alpha, p.t_lo)
@@ -329,8 +315,7 @@ def largest_simplex(poly: NOPolygon) -> ExactScalar:
     return t_alpha if t_alpha <= b0 else b0
 
 
-def largest_inverted_simplex(poly: NOPolygon | PolygonBounds
-                             ) -> ExactScalar:
+def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon."""
     if poly.nu != 0:
         return Fraction(0)

@@ -75,6 +75,20 @@ def test_cli_infinitesimal_example():
     assert doc["xi"] == "0"
 
 
+@pytest.mark.parametrize("argv, error, message", [
+    (["--divisor", "E1"], "not-big", "polygon needs a big class"),
+    (["--divisor", "3H-E1-E2-E3", "--y", "on:L12"],
+     "inconsistent-multiplicities",
+     "L12 does not meet the exceptional curve with multiplicity 1"),
+], ids=["not-big", "bad-y"])
+def test_cli_infinitesimal_reports_the_polygon_error(argv, error, message):
+    """With no polygon, the error is the polygon's, not xi's."""
+    code, out, err = run_cli(["infinitesimal", "--model", "builtin:bl3p2"]
+                             + argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 def test_cli_genericbound():
     code, out, err = run_cli(["genericbound", "--deg", "5", "--target", "2",
                               "--exclude-q1"])

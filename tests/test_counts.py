@@ -2,11 +2,12 @@
 decomposition fixpoints, chamber walks, blow-ups, plain pairings and
 polygon vertex sets one query runs.  These pin that a walk decides bigness
 once, that xi and moving Seshadri constants walk once and build no
-vertices, and that pairings with the curve list read the model's curve
-table."""
+vertices, that a polygon builds its vertices only when they are read, and
+that pairings with the curve list read the model's curve table."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import surfpos as sp
-from surfpos import infinitesimal, lattice, okounkov, seshadri, zariski
+from surfpos import infinitesimal, lattice, models, okounkov, seshadri, zariski
 from surfpos.cli import main
 from surfpos.errors import NotBig
 from surfpos.lattice import PointSpec
@@ -159,6 +160,25 @@ def test_cli_infinitesimal_on_the_negative_locus_decides_bigness_once(
     assert walks == {"walk": 1, "blowup": 1}
 
 
+def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
+    """bl2p2 without L12, declared incomplete: only the blow-up, which lists
+    L12 again, finds the class big.  xi is null, and the polygon comes
+    from one blow-up and one walk."""
+    m = sp.builtin("bl2p2")
+    path = tmp_path / "model.json"
+    models.save(dataclasses.replace(
+        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+        completeness_declared=False), path)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["infinitesimal", "--model", str(path),
+                     "--divisor", "2H-4/3*E1-4/3*E2"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["xi"] is None and doc["mu_prime"] == "4/3"
+    assert walks == {"walk": 1, "blowup": 1}
+
+
 @pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri])
 def test_xi_builds_no_vertices(vertices, query):
     """xi is read off the pieces of the walk at the generic y and at each
@@ -175,6 +195,16 @@ def test_cli_infinitesimal_builds_one_vertex_set(vertices):
                      "--divisor", "3H-E1-E2-E3"])
     assert code == 0
     assert vertices["vertices"] == 1
+
+
+def test_largest_simplex_flag_builds_no_vertices(vertices):
+    """lambda is read off the pieces; the polygon's vertices are never
+    read."""
+    m = sp.builtin("bl3p2")
+    lam = seshadri.largest_simplex_flag(
+        m, anti_canonical(m), "E1", PointSpec(on_curve="E1", generic=True))
+    assert lam == 1
+    assert vertices["vertices"] == 0
 
 
 def test_shift_check_decides_bigness_once_per_class(counts):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import surfpos as sp
-from surfpos import okounkov
+from surfpos import okounkov, zariski
 from surfpos.errors import (
     InconsistentMultiplicities,
     ModelInconsistency,
@@ -44,12 +44,26 @@ def test_blow_up_names_members_of_families_with_one_hint_apart():
     """P1 x P1 with both rulings as families named "f": each acquires a
     member through the point, and the two members get distinct names."""
     m = sp.builtin("hirzebruch-0")
-    two = dataclasses.replace(m, generic_families=m.generic_families + (
-        GenericFamily(cls=(1, 0), mult=1, name_hint="f"),))
+    two = dataclasses.replace(m, generic_families=(
+        GenericFamily(cls=(0, 1), mult=1, name_hint="f"),
+        GenericFamily(cls=(1, 0), mult=1, name_hint="f")))
     bm, _, exc = blow_up(two)
     assert exc == "E1"
     assert [(c.name, c.cls) for c in bm.curves[3:]] == [
         ("f1", (0, 1, -1)), ("f2", (1, 0, -1))]
+
+
+def test_generic_blow_up_of_p1xp1_lists_both_rulings():
+    """Both rulings of P1 x P1 have a member through the point, so C0 - E
+    is a curve of the generic blow-up."""
+    bm, _, _ = blow_up(sp.builtin("hirzebruch-0"))
+    assert zariski.is_pseudo_effective(bm, (1, 0, -1))
+
+
+def test_mu_prime_of_p1xp1_reaches_both_rulings():
+    """C0 + f - 2E = (C0 - E) + (f - E) is effective, and
+    vol(C0 + f - tE) = (2 - t)^2 on [1, 2], so mu' is 2."""
+    assert sp.mu_prime(sp.builtin("hirzebruch-0"), (1, 1)) == 2
 
 
 def test_blow_up_on_exceptional_reproduces_two_step_model():

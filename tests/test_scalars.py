@@ -43,9 +43,9 @@ def test_quad_pickle_and_deepcopy():
     assert isinstance(back, Quad) and back == v and back.d == 2
     poly = NOPolygon(nu=Fraction(0), mu=v, flag_curve="C",
                      pieces=(PolygonPiece(Fraction(0), v, (0, 0), (1, 1),
-                                          ()),),
-                     vertices=((Fraction(0), Fraction(0)), (v, 0)))
+                                          ()),))
     assert copy.deepcopy(poly) == poly
+    assert copy.deepcopy(poly).vertices == poly.vertices
 
 
 def test_mixed_radicands_rejected():
