@@ -341,8 +341,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_signed_values(argv: list[str] | None) -> list[str]:
+    """Read ``--divisor -H`` as ``--divisor=-H``: after an option whose value
+    is a class or a rational, or an abbreviation of one, a token starting
+    with one '-' is that value; one starting with '--' stays an option."""
+    out: list[str] = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if (out and tok[:1] == "-" and tok[:2] != "--" and len(out[-1]) > 2
+                and any(o.startswith(out[-1])
+                        for o in ("--divisor", "--deg", "--target"))):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_signed_values(argv))
     model = None
     if getattr(args, "model", None):
         model = models.resolve_model(args.model)

@@ -6,10 +6,10 @@ curve records become strict transforms class - mult * E.  Infinitesimal
 polygons are ordinary polygons on the blow-up with respect to flags (E, y),
 and the local positivity invariants (the asymptotic multiplicity mu', the
 largest inverted simplex xi, moving Seshadri constants) are read off them.
-When the base lists every curve of its effective cone, a walk on a
-blow-up takes bigness from the base class, which is big exactly when its
-pullback is, so the blow-up runs its decomposition fixpoint but no
-pseudo-effectivity LP.
+Each point of a model instance is blown up once.  When the base lists
+every curve of its effective cone, a walk on a blow-up takes bigness from
+the base class, which is big exactly when its pullback is, and starts
+from the pulled-back decomposition: the blow-up runs no LP or fixpoint.
 """
 
 from __future__ import annotations
@@ -113,11 +113,27 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     (-1)-classes is enumerated automatically; at special points the caller
     declares the new negative curves.  When the base declares effective
     generators, the blow-up declares their pullbacks and its own curves.
+    The result is kept on the model instance, keyed by the spec's value
+    (a zero multiplicity counts as none), and returned for an equal spec.
     """
-    rho = model.rank
     for name, m in spec.mults.items():
         if m < 0 or not model.has_curve(name):
             raise InconsistentMultiplicities(f"bad multiplicity for {name!r}")
+    key = (tuple(sorted((n, m) for n, m in spec.mults.items() if m)),
+           tuple((n, tuple(cls)) for n, cls in spec.extra_curves),
+           spec.extra_complete, spec.exceptional_name,
+           tuple(sorted(spec.renames.items())))
+    if key not in model._blow_ups:
+        model._blow_ups[key] = _build_blow_up(model, spec)
+    return model._blow_ups[key]
+
+
+def _pullback(d: Sequence) -> DivisorClass:
+    return tuple(scalars.vector(d)) + (Fraction(0),)
+
+
+def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
+    rho = model.rank
     listed = {n: m for n, m in spec.mults.items() if m > 0}
     for n1 in listed:
         for n2 in listed:
@@ -133,10 +149,6 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     labels = model.basis_labels + (exc,)
     gram = tuple(tuple(row) + (0,) for row in model.gram)
     gram += (tuple([0] * rho) + (-1,),)
-
-    def pullback(d: Sequence) -> DivisorClass:
-        return tuple(scalars.vector(d)) + (Fraction(0),)
-
     curves: list[CurveRecord] = []
     for c in model.curves:
         m = spec.mults.get(c.name, 0)
@@ -169,7 +181,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     r = models_mod._dec_int(model.metadata.get("r", "9")) if del_pezzo else 9
     is_dp = r <= 7
     ample_is_ample = False
-    ample = pullback(model.ample_ref)
+    ample = _pullback(model.ample_ref)
     if spec.generic:
         # movable families acquire a member through the point
         present = {c.cls for c in curves}
@@ -206,7 +218,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     generators = None
     if model.effective_generators is not None:
         # pullbacks of effective classes stay effective
-        generators = tuple(pullback(g) for g in model.effective_generators) \
+        generators = tuple(_pullback(g) for g in model.effective_generators) \
             + tuple(scalars.vector(c.cls) for c in curves)
     new_model = SurfaceModel(
         rank=rho + 1,
@@ -223,7 +235,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
         metadata=metadata,
     )
     validate_model(new_model)
-    return new_model, pullback, exc
+    return new_model, _pullback, exc
 
 
 def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
@@ -250,8 +262,9 @@ def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     from the base, from ``pair`` if the caller has decomposed d already:
     the pullback keeps the volume, and a certificate d = sum b_j C_j pulls
     back to sum b_j C~_j + (sum b_j m_j) E over curves the blow-up lists,
-    so the blow-up runs its fixpoint but no LP.  Otherwise the blow-up may
-    list curves the base misses, and the walk decides bigness on it.  The
+    so the blow-up runs no LP, and the walk starts from the pulled-back
+    decomposition.  Otherwise the blow-up may list curves the base
+    misses, and the walk decides bigness on it.  The
     flag point at y, if given, is resolved before bigness is decided.
     Returns the blow-up, the exceptional curve, the walk, that point and
     the base decomposition, None if none was given or made.
@@ -266,9 +279,17 @@ def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     pair = pair or zariski.big_decomposition(model, d)
     if pair is None:
         raise NotBig("polygon needs a big class")
-    start = zariski.chamber(bm, up)
-    return bm, exc, okounkov._walk_from(bm, up, exc, {
-        n: a for n, (a, _) in start.coeffs.items()}), point, pair
+    walk = okounkov._walk_from(bm, up, exc, _pulled_back_start(pair, x, exc))
+    return bm, exc, walk, point, pair
+
+
+def _pulled_back_start(pair: zariski.ZariskiPair, x: BlowupSpec,
+                       exc: str) -> dict[str, Fraction]:
+    """N(pi*D) = pi*N(D) = sum a_C (C~ + mult_x(C) E), by blow-up name in
+    curve order, since pi*P is nef and orthogonal to every C~ and to E."""
+    start = {x.renames.get(n, n): a for n, a in pair.N_coeffs.items()}
+    on_exc = sum(a * x.mults.get(n, 0) for n, a in pair.N_coeffs.items())
+    return start | ({exc: on_exc} if on_exc else {})
 
 
 def infinitesimal_polygon(model: SurfaceModel, d: Sequence,

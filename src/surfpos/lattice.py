@@ -30,7 +30,7 @@ from .errors import (
     InvariantViolation,
     NotFullDimensional,
 )
-from .scalars import Matrix, primitive, rank, vector
+from .scalars import primitive, rank, scaled, vector
 
 DivisorClass = tuple[Fraction, ...]
 
@@ -93,6 +93,11 @@ class SurfaceModel:
     generic_families: tuple[GenericFamily, ...] = ()
     metadata: Mapping[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def _blow_ups(self) -> dict:
+        """Blow-ups by point, kept by :func:`surfpos.infinitesimal.blow_up`."""
+        return {}
+
     # -- structural helpers ----------------------------------------
 
     @cached_property
@@ -144,8 +149,12 @@ class SurfaceModel:
             return self.effective_generators
         return tuple(vector(c.cls) for c in self.curves)
 
-    def gram_submatrix(self, names: Sequence[str]) -> Matrix:
-        return tuple(tuple(self.meet(a, b) for b in names) for a in names)
+    def gram_submatrix(self, names: Sequence[str]
+                       ) -> tuple[tuple[int, ...], ...]:
+        """The integer Gram matrix of the listed curves ``names``."""
+        return tuple(tuple(sum(map(mul, self._curve_table[a][1],
+                                   self.curve(b).cls)) for b in names)
+                     for a in names)
 
     def resolve(self, name: str) -> DivisorClass:
         """A basis label or curve name as a divisor class."""
@@ -155,12 +164,6 @@ class SurfaceModel:
         if self.has_curve(name):
             return self.curve_class(name)
         raise KeyError(name)
-
-
-def scaled(v: DivisorClass) -> tuple[list[int], int]:
-    """Integers num and den > 0 with v = num / den."""
-    den = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def pairing(model: SurfaceModel, d1: Sequence, d2: Sequence) -> Fraction:

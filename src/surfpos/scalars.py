@@ -6,17 +6,17 @@ decisions are made in exact rational arithmetic; floats never enter any
 decision path (they only appear as display approximations).
 
 Matrices and vectors are plain tuples of Fractions.  The surfaces handled
-by this package have Picard rank at most nine, so naive elimination over
-the rationals is entirely adequate: one Gauss-Jordan row reduction serves
-solving, determinants, rank and inverses, and one symmetric congruence
-gives the inertia of a form, which also decides negative definiteness.
+by this package have Picard rank at most nine: one fraction-free
+Gauss-Jordan row reduction on integer-scaled rows serves solving,
+determinants, rank, inverses and, by Sylvester's criterion on its pivots,
+negative definiteness; a symmetric congruence gives the inertia of a form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -295,80 +295,103 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 
 
-def _row_reduce(a: list[list[Fraction]], ncols: int) -> tuple[int, Fraction]:
-    """Gauss-Jordan elimination of the rows ``a`` in place, pivoting on
-    their first ``ncols`` columns (first nonzero entry of each column).
+def scaled(v: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integers num and den > 0 with v = num / den."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
 
-    Returns the rank and the signed product of the pivots, which is the
-    determinant when those columns form a square block of full rank.  Over
-    the rationals there is no stability concern, only a singularity check.
-    """
+
+def _row_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    rows ``a`` in place, on the first nonzero entry of each of their first
+    ``ncols`` columns.  Returns the pivots (with no row swap, the leading
+    principal minors) and the number of swaps."""
     m = len(a)
-    r, det = 0, Fraction(1)
+    pivots: list[int] = []
+    swaps = 0
     for col in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det *= a[r][col]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+            swaps += 1
+        row, p, prev = a[r], a[r][col], pivots[-1] if pivots else 1
         for i in range(m):
-            if i != r and a[i][col] != 0:
+            if i != r:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r, det
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        pivots.append(p)
+    return pivots, swaps
 
 
-def _square_rows(g: Sequence[Sequence], what: str) -> list[list[Fraction]]:
-    a = [list(vector(row)) for row in g]
-    if any(len(row) != len(a) for row in a):
+def _square_rows(g: Sequence[Sequence], what: str, *columns: Sequence
+                 ) -> tuple[list[list[int]], int]:
+    """The rows of the square matrix g, each followed by its entries of
+    ``columns`` and scaled to integers, and the product of the scales."""
+    if any(len(row) != len(g) for row in g):
         raise DimensionMismatch(f"{what} needs a square matrix")
-    return a
+    if any(len(c) != len(g) for c in columns):
+        raise DimensionMismatch(f"{what} needs a square system")
+    rows = [scaled([*row, *(c[i] for c in columns)])
+            for i, row in enumerate(g)]
+    return [num for num, _ in rows], math.prod(den for _, den in rows)
+
+
+def _solutions(a: list[list[int]]) -> Matrix:
+    """X with g * X = the columns past g, in a reduced full-rank system."""
+    return tuple(tuple(Fraction(x, row[i]) for x in row[len(a):])
+                 for i, row in enumerate(a))
 
 
 def solve_linear(g: Sequence[Sequence], rhs: Sequence) -> Vector:
     """Exact solution of the square system g * x = rhs."""
-    a = _square_rows(g, "solve_linear")
-    if len(rhs) != len(a):
-        raise DimensionMismatch("solve_linear needs a square system")
-    for row, b in zip(a, rhs):
-        row.append(_frac(b))
-    if _row_reduce(a, len(a))[0] < len(a):
+    a, _ = _square_rows(g, "solve_linear", rhs)
+    if len(_row_reduce(a, len(a))[0]) < len(a):
         raise SingularMatrix("zero pivot column")
-    return tuple(row[-1] for row in a)
+    return tuple(x for x, in _solutions(a))
 
 
 def determinant(g: Sequence[Sequence]) -> Fraction:
-    a = _square_rows(g, "determinant")
-    r, det = _row_reduce(a, len(a))
-    return det if r == len(a) else Fraction(0)
+    a, scale = _square_rows(g, "determinant")
+    pivots, swaps = _row_reduce(a, len(a))
+    return (Fraction((-1) ** swaps * (pivots or [1])[-1], scale)
+            if len(pivots) == len(a) else Fraction(0))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    a = [list(vector(row)) for row in rows]
-    return _row_reduce(a, len(a[0]))[0] if a else 0
+    a = [scaled(row)[0] for row in rows]
+    return len(_row_reduce(a, len(a[0]))[0]) if a else 0
 
 
 def inverse(g: Sequence[Sequence]) -> Matrix:
-    a = _square_rows(g, "inverse")
-    n = len(a)
-    for i, row in enumerate(a):
-        row.extend(Fraction(int(i == j)) for j in range(n))
-    if _row_reduce(a, n)[0] < n:
+    n = len(g)
+    a, _ = _square_rows(g, "inverse",
+                        *([int(i == j) for i in range(n)] for j in range(n)))
+    if len(_row_reduce(a, n)[0]) < n:
         raise SingularMatrix("zero pivot column")
-    return tuple(tuple(row[n:]) for row in a)
+    return _solutions(a)
+
+
+def solve_negative_definite(g: Sequence[Sequence], *rhs: Sequence
+                            ) -> Optional[tuple[Vector, ...]]:
+    """The solutions of g * x = b for each b in ``rhs`` if the symmetric g
+    is negative definite, else None: by Sylvester's criterion, iff the
+    pivots alternate -, +, -, ... with no row swap (a zero leading minor)."""
+    a, _ = _square_rows(g, "solve_negative_definite", *rhs)
+    if tuple(map(tuple, g)) != tuple(zip(*g)):
+        raise NotSymmetric("the form is not symmetric")
+    pivots, swaps = _row_reduce(a, len(a))
+    if swaps or len(pivots) < len(a) or any(
+            (p < 0) != (k % 2 == 0) for k, p in enumerate(pivots)):
+        return None
+    return tuple(zip(*_solutions(a)))
 
 
 def is_negative_definite(g: Sequence[Sequence]) -> bool:
-    """A symmetric rational form is negative definite iff its inertia is
-    (0, n, 0)."""
-    return signature(g) == (0, len(g), 0)
+    """Sylvester's criterion, by :func:`solve_negative_definite`."""
+    return solve_negative_definite(g) is not None
 
 
 def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -378,12 +401,12 @@ def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
     nonzero off-diagonal entry is repaired by adding the partner row/column,
     which preserves inertia.
     """
-    m = _square_rows(g, "signature")
+    m = [list(vector(row)) for row in g]
     n = len(m)
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    if any(len(row) != n for row in m):
+        raise DimensionMismatch("signature needs a square matrix")
+    if tuple(map(tuple, m)) != tuple(zip(*m)):
+        raise NotSymmetric("the form is not symmetric")
     pos = neg = zero = 0
 
     def swap(i, j):
@@ -427,14 +450,8 @@ def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
 def primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to primitive integers, preserving
     direction."""
-    fr = vector(v)
-    if all(x == 0 for x in fr):
+    ints = scaled(vector(v))[0]
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
     return tuple(x // g for x in ints)

@@ -10,9 +10,12 @@ the chamber of a Newton-Okounkov walk past a wall (:func:`chamber`).
 
 The fixpoint runs on integers: P = p0 + s*p1 is kept as integer vectors
 over one denominator each, every P.C is an integer dot with the model's
-curve table, and every sign is decided by cross-multiplying.  Fractions
-are built only for the negative-part coefficients, which the Gram solve
-returns, and for what a caller of the chamber reads.
+curve table, and every sign is decided by cross-multiplying.  The
+support's integer Gram matrix, read off the same table, is checked
+negative definite and solved for both right-hand sides in one
+fraction-free elimination.  Fractions are built only for the
+negative-part coefficients that solve returns, and for what a caller of
+the chamber reads.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from .lattice import (
     SurfaceModel,
     cone_contains,
     pairing,
-    scaled,
     self_intersection,
 )
-from .scalars import is_negative_definite, solve_linear, vector
+from .scalars import scaled, solve_negative_definite, vector
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,16 @@ def chamber(model: SurfaceModel, d: DivisorClass,
         coeffs: dict[str, tuple[Fraction, Fraction]] = {}
         p0, den0, p1, den1 = d0, e0, d1, e1
         if names:
-            gram = model.gram_submatrix(names)
-            if not is_negative_definite(gram):
+            sols = solve_negative_definite(model.gram_submatrix(names), *(
+                [dots[n] for n in names] for dots in (d_dots, s_dots)
+                if dots is not None))
+            if sols is None:
                 raise ModelInconsistency(
                     "support Gram matrix not negative definite for "
                     f"{names}; curve list is incomplete or wrong")
-            sol0 = [x / e0 for x in
-                    solve_linear(gram, [d_dots[n] for n in names])]
-            sol1 = ([x / e1 for x in
-                     solve_linear(gram, [s_dots[n] for n in names])]
-                    if slope is not None else [Fraction(0)] * len(names))
+            sol0 = [x / e0 for x in sols[0]]
+            sol1 = ([x / e1 for x in sols[1]] if slope is not None
+                    else [Fraction(0)] * len(names))
             for n, a0, a1 in zip(names, sol0, sol1):
                 if negative(a0.numerator, a0.denominator,
                             a1.numerator, a1.denominator):
@@ -250,14 +252,15 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
         if not is_ample(model, p):
             raise NotBigNef("nef class with empty null locus but zero square")
         return {}, Fraction(0)
-    gram = model.gram_submatrix(null)
-    if not is_negative_definite(gram):
+    sol = solve_negative_definite(model.gram_submatrix(null),
+                                  [-1] * len(null))
+    if sol is None:
         raise ModelInconsistency(
             f"Gram matrix of null curves {null} is not negative definite; "
             "the class is not big")
     if self_intersection(model, p) <= 0:
         raise NotBigNef("perturbation needs a big class")
-    a = solve_linear(gram, [-1] * len(null))
+    a = sol[0]
     if any(x < 0 for x in a):
         raise ModelInconsistency("inverse Gram has a positive entry")
     direction = vector([0] * model.rank)

@@ -266,6 +266,27 @@ def test_cli_usage_error_exit_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, value, code", [
+    (["zariski", "--model", "builtin:bl1p2", "--divisor"], "-E+2H", 0),
+    (["zariski", "--model", "builtin:bl1p2", "--div"], "-E+2H", 0),
+    (["infinitesimal", "--model", "builtin:bl3p2", "--divisor"], "-H", 1),
+    (["genericbound", "--deg", "5", "--target"], "-1/2", 1),
+])
+def test_cli_value_may_start_with_a_minus_sign(argv, value, code):
+    """After an option that takes a class or a rational, a token starting
+    with a single '-' is the value, exactly as with '='."""
+    got = run_cli(argv + [value])
+    assert got == run_cli(argv[:-1] + [f"{argv[-1]}={value}"])
+    assert got[0] == code
+
+
+def test_cli_missing_value_before_an_option_is_a_usage_error():
+    with pytest.raises(SystemExit) as e:
+        run_cli(["zariski", "--model", "builtin:bl1p2", "--divisor",
+                 "--json"])
+    assert e.value.code == 2
+
+
 def test_cli_deterministic_outputs():
     argvs = [
         ["polygon", "--model", "builtin:example-interesting", "--divisor",

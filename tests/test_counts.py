@@ -1,9 +1,11 @@
 """Deterministic work counts: how many pseudo-effectivity LPs, plain
 decomposition fixpoints, chamber walks, blow-ups, plain pairings and
 polygon vertex sets one query runs.  These pin that a walk decides bigness
-once, that xi and moving Seshadri constants walk once and build no
-vertices, that a polygon builds its vertices only when they are read, and
-that pairings with the curve list read the model's curve table."""
+once, that xi and moving Seshadri constants walk once, from the pulled-back
+decomposition, and build no vertices, that a second query at a point
+builds no blow-up, that a polygon builds its vertices only when they are
+read, and that pairings with the curve list read the model's curve
+table."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import surfpos as sp
 from surfpos import infinitesimal, lattice, models, okounkov, seshadri, zariski
 from surfpos.cli import main
 from surfpos.errors import NotBig
+from surfpos.infinitesimal import BlowupSpec
 from surfpos.lattice import PointSpec
 
 
@@ -177,6 +180,44 @@ def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
     doc = json.loads(out.getvalue())
     assert doc["xi"] is None and doc["mu_prime"] == "4/3"
     assert walks == {"walk": 1, "blowup": 1}
+
+
+@pytest.mark.parametrize("query, name, value", [
+    (sp.xi, "bl3p2", 2),
+    (lambda m, d: sp.moving_seshadri(m, d).value, "bl6p2", Fraction(3, 2)),
+])
+def test_xi_and_moving_seshadri_run_one_lp_and_one_fixpoint(
+        counts, query, name, value):
+    """The base decomposition decides bigness and the negative locus, and
+    the walk on the blow-up starts from its pullback: no second fixpoint."""
+    m = sp.builtin(name)
+    assert query(m, anti_canonical(m)) == value
+    assert counts == {"lp": 1, "fixpoint": 1}
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count calls of lattice.validate_model made by blow-ups."""
+    n = {"validate": 0}
+    validate = infinitesimal.validate_model
+
+    def counted_validate(*args, **kwargs):
+        n["validate"] += 1
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(infinitesimal, "validate_model", counted_validate)
+    return n
+
+
+@pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri, sp.mu_prime])
+def test_second_query_at_a_point_builds_no_blow_up(validations, query):
+    # builtin models are shared; a new instance starts with no blow-ups
+    m = dataclasses.replace(sp.builtin("bl3p2"))
+    x = BlowupSpec(mults={"L12": 1})
+    first = query(m, anti_canonical(m), x)
+    assert validations == {"validate": 1}
+    assert query(m, anti_canonical(m), BlowupSpec(mults={"L12": 1})) == first
+    assert validations == {"validate": 1}
 
 
 @pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri])

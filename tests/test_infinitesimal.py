@@ -1,10 +1,12 @@
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import surfpos as sp
-from surfpos import okounkov, zariski
+from surfpos import infinitesimal, okounkov, zariski
 from surfpos.errors import (
     InconsistentMultiplicities,
     ModelInconsistency,
@@ -125,6 +127,71 @@ def test_blown_up_model_round_trips(tmp_path):
     loaded = sp.load(path)
     assert loaded == bm
     assert not loaded.ample_ref_is_ample
+
+
+def test_blow_up_is_kept_for_equal_specs():
+    """Specs with the same value, as distinct objects with their dicts in
+    another order and a zero multiplicity added, give the same blow-up."""
+    m = sp.builtin("bl3p2")
+    first = blow_up(m, BlowupSpec(mults={"E1": 1, "L12": 1},
+                                  renames={"E1": "A", "L12": "B"}))
+    again = blow_up(m, BlowupSpec(mults={"E2": 0, "L12": 1, "E1": 1},
+                                  renames={"L12": "B", "E1": "A"}))
+    assert again is first
+    assert blow_up(m) is blow_up(m, BlowupSpec(mults={"E1": 0}))
+
+
+@pytest.mark.parametrize("change", [
+    {"renames": {"E": "E2"}},
+    {"extra_curves": (("E3", (1, -1, -1)),)},
+    {"extra_complete": True},
+    {"exceptional_name": "X"},
+])
+def test_blow_up_specs_that_differ_build_their_own(change):
+    b1 = sp.builtin("bl1p2")
+    plain = BlowupSpec(mults={"E": 1})
+    bm = blow_up(b1, plain)[0]
+    other = blow_up(b1, dataclasses.replace(plain, **change))[0]
+    assert other is not bm and other != bm
+    assert blow_up(b1, plain)[0] is bm
+
+
+def test_failing_blow_up_is_not_kept(monkeypatch):
+    b1 = sp.builtin("bl1p2")
+    blow_up(b1)
+    # the multiplicities are checked before the look-up: this spec has the
+    # generic point's key, but names no curve of the model
+    with pytest.raises(InconsistentMultiplicities):
+        blow_up(b1, BlowupSpec(mults={"X": 0}))
+    builds = []
+    build = infinitesimal._build_blow_up
+
+    def counted(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(infinitesimal, "_build_blow_up", counted)
+    bad = BlowupSpec(extra_curves=(("X", (1, 0)),))
+    for _ in range(2):
+        with pytest.raises(InconsistentMultiplicities):
+            blow_up(b1, bad)
+    assert builds == [bad, bad]
+
+
+def test_model_with_blow_ups_pickles_copies_and_saves_as_before(tmp_path):
+    m = sp.builtin("bl3p2")
+    sp.save(m, tmp_path / "before.json")
+    bm = blow_up(m)[0]
+    blow_up(m, BlowupSpec(mults={"E1": 1}))
+    sp.xi(m, (3, -1, -1, -1))
+    sp.save(m, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_text() == \
+        (tmp_path / "before.json").read_text()
+    assert m == dataclasses.replace(m)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m),
+                 copy.copy(m)):
+        assert twin == m
+        assert blow_up(twin)[0] == bm
 
 
 def test_infinitesimal_polygon_p2():

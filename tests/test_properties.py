@@ -11,10 +11,14 @@ curve in the direction of the curve (tangent).  The properties:
 - the chamber walk equals the per-t oracle at every rational breakpoint
   and inside every piece;
 - xi equals the largest inverted simplex of the full infinitesimal
-  polygon at the generic y and at every special direction.
+  polygon at the generic y and at every special direction;
+- the pulled-back decomposition a blown-up walk starts from equals the
+  decomposition fixpoint on the blow-up, also at points of Neg(D);
+- the integer elimination in ``scalars`` (solving, determinant, rank,
+  inverse, negative definiteness) agrees with ``sympy.Matrix``.
 
-The last two need every negative curve listed, so they run on the models
-whose curve list is declared complete.
+The walk, xi and pulled-back properties need every negative curve
+listed, so they run on the models whose curve list is declared complete.
 """
 
 from __future__ import annotations
@@ -23,22 +27,27 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos import models as models_mod
-from surfpos.errors import PointInNegLocus
+from surfpos import scalars, zariski
+from surfpos.errors import PointInNegLocus, SingularMatrix
 from surfpos.infinitesimal import (
     GENERIC_POINT,
     BlowupSpec,
     InfFlagSpec,
+    _pulled_back_start,
     blow_up,
     exceptional_directions,
     point_on_exceptional_spec,
 )
 from surfpos.lattice import PointSpec, pairing
 from surfpos.scalars import signature
+from surfpos.zariski import neg_curves_through
 
 from conftest import assert_breakpoint_oracle
 
@@ -94,7 +103,7 @@ def points(model) -> dict:
     on_curve = on_curve_point(model)
     if on_curve is not None:
         out["on-curve"] = on_curve[1]
-    if model.metadata.get("r") == "1":
+    if model.metadata.get("r") == "1" and model.has_curve("E"):
         out["tangent"] = point_on_exceptional_spec(model)
     return out
 
@@ -218,3 +227,117 @@ def test_xi_equals_the_full_polygons(data):
                                 for n in exceptional_directions(bm, exc)]:
         poly = sp.infinitesimal_polygon(model, d, x, y)
         assert sp.largest_inverted_simplex(poly) == value, (which, d, y)
+
+
+@st.composite
+def points_on_neg(draw, model, pair):
+    """A point to blow up: one of :func:`points`, or a point of the
+    negative part's support, alone or where two support curves meet,
+    with the strict transforms renamed or not."""
+    through = list(pair.support)
+    if not through or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(sorted(points(model).items())))[1]
+    first = draw(st.sampled_from(through))
+    mults = {first: 1}
+    meeting = [n for n in through
+               if n != first and model.meet(n, first) > 0]
+    if meeting and draw(st.booleans()):
+        mults[draw(st.sampled_from(meeting))] = 1
+    renames = ({n: f"{n}~" for n in mults} if draw(st.booleans()) else {})
+    return BlowupSpec(mults=mults, renames=renames)
+
+
+@SETTINGS
+@given(st.data())
+def test_pulled_back_start_is_the_decomposition_on_the_blow_up(data):
+    """N(pi*D) = sum a_C (C~ + mult_x(C) E) equals the fixpoint on the
+    blow-up, coefficients and curve order, also at points of Neg(D)."""
+    which = data.draw(st.sampled_from(complete_models()))
+    model = model_of(*which)
+    # a negative curve added to the class is likely in its negative part
+    negative = [c.name for c in model.curves if c.self_int < 0]
+    d = data.draw(big_classes(model))
+    if negative:
+        k = data.draw(st.integers(0, 2))
+        c = model.curve_class(data.draw(st.sampled_from(negative)))
+        d = model.divisor([a + k * b for a, b in zip(d, c)])
+    pair = sp.zariski_decompose(model, d)
+    x = data.draw(points_on_neg(model, pair))
+    bm, pullback, exc = blow_up(model, x)
+    start = _pulled_back_start(pair, x, exc)
+    ch = zariski.chamber(bm, pullback(d))
+    assert list(start.items()) == [(n, a) for n, (a, _) in ch.coeffs.items()]
+    assert (exc in start) == bool(neg_curves_through(model, pair, x.mults))
+
+
+@st.composite
+def rational_matrices(draw, symmetric: bool):
+    """Square matrices of size 1 to 5 with small integer or Fraction
+    entries: general, singular (the last row a combination of the first
+    two), or, when symmetric, B^T diag B for a drawn B and drawn signs,
+    so that definite, indefinite and degenerate forms all occur."""
+    n = draw(st.integers(1, 5))
+    ints = draw(st.booleans())
+    entry = (st.integers(-4, 4) if ints
+             else st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+    flat = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if symmetric:
+        diag = draw(st.lists(st.sampled_from([-2, -1, 0, 1]), min_size=n,
+                             max_size=n))
+        # g = B^T diag B: its inertia is that of diag when B is invertible
+        rows = [[sum(rows[k][i] * diag[k] * rows[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+    elif n > 1 and draw(st.booleans()):
+        c = draw(entry)
+        rows[-1] = [c * a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in map(Fraction, row)] for row in rows])
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+@SETTINGS
+@given(rational_matrices(symmetric=False),
+       st.lists(st.integers(-5, 5), min_size=5, max_size=5))
+def test_elimination_agrees_with_sympy(rows, rhs):
+    n = len(rows)
+    g = sympy_matrix(rows)
+    det = g.det()
+    assert scalars.determinant(rows) == from_sympy(det)
+    assert scalars.rank(rows) == g.rank()
+    if n > 1:
+        assert scalars.rank(rows[:-1]) == g[:-1, :].rank()
+    b = rhs[:n]
+    if det == 0:
+        for solve in (lambda: scalars.solve_linear(rows, b),
+                      lambda: scalars.inverse(rows)):
+            with pytest.raises(SingularMatrix):
+                solve()
+        return
+    x = g.LUsolve(sympy.Matrix(b))
+    assert scalars.solve_linear(rows, b) == tuple(map(from_sympy, x))
+    inv = g.inv()
+    assert scalars.inverse(rows) == tuple(
+        tuple(from_sympy(inv[i, j]) for j in range(n)) for i in range(n))
+
+
+@SETTINGS
+@given(rational_matrices(symmetric=True),
+       st.lists(st.integers(-5, 5), min_size=5, max_size=5))
+def test_negative_definite_agrees_with_sympy(rows, rhs):
+    g = sympy_matrix(rows)
+    definite = (-g).is_positive_definite
+    assert scalars.is_negative_definite(rows) == definite
+    sols = scalars.solve_negative_definite(rows, rhs[:len(rows)])
+    assert (sols is not None) == definite
+    if definite:
+        assert signature(rows) == (0, len(rows), 0)
+        x = g.LUsolve(sympy.Matrix(rhs[:len(rows)]))
+        assert sols == (tuple(map(from_sympy, x)),)

@@ -146,6 +146,8 @@ def test_negative_definite():
     assert sc.is_negative_definite([[-1, 1], [1, -2]])
     assert not sc.is_negative_definite([[-1, 2], [2, -1]])
     assert not sc.is_negative_definite([[0]])
+    # a zero leading minor: the pivots after a row swap alternate in sign
+    assert not sc.is_negative_definite([[0, -1], [-1, -1]])
     with pytest.raises(NotSymmetric):
         sc.is_negative_definite([[-1, 1], [0, -1]])
 
