@@ -28,7 +28,8 @@ from .scalars import Quad
 # ----------------------------------------------------------------------
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_DIGITS = set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS
 
 
 def parse_divisor(text: str, model: SurfaceModel):
@@ -48,15 +49,13 @@ def parse_divisor(text: str, model: SurfaceModel):
     def number():
         nonlocal pos
         start = pos
-        while peek().isdigit():
+        while peek() in _DIGITS:
             pos += 1
-        if start == pos:
-            raise ParseError(pos, "integer")
         num = int(s[start:pos])
         if peek() == "/":
             pos += 1
             dstart = pos
-            while peek().isdigit():
+            while peek() in _DIGITS:
                 pos += 1
             if dstart == pos:
                 raise ParseError(pos, "denominator")
@@ -79,7 +78,7 @@ def parse_divisor(text: str, model: SurfaceModel):
     def term():
         nonlocal pos
         coef = Fraction(1)
-        if peek().isdigit():
+        if peek() in _DIGITS:
             coef = number()
             if peek() == "*":
                 pos += 1

@@ -33,6 +33,7 @@ from .lattice import (
     DivisorClass,
     PointSpec,
     SurfaceModel,
+    int_pairing,
     validate_model,
 )
 from .okounkov import NOPolygon
@@ -117,7 +118,7 @@ def blow_up(model: SurfaceModel, spec: BlowupSpec = GENERIC_POINT
     (a zero multiplicity counts as none), and returned for an equal spec.
     """
     for name, m in spec.mults.items():
-        if m < 0 or not model.has_curve(name):
+        if m < 0 or m != int(m) or not model.has_curve(name):
             raise InconsistentMultiplicities(f"bad multiplicity for {name!r}")
     key = (tuple(sorted((n, m) for n, m in spec.mults.items() if m)),
            tuple((n, tuple(cls)) for n, cls in spec.extra_curves),
@@ -134,7 +135,7 @@ def _pullback(d: Sequence) -> DivisorClass:
 
 def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
     rho = model.rank
-    listed = {n: m for n, m in spec.mults.items() if m > 0}
+    listed = {n: int(m) for n, m in spec.mults.items() if m > 0}
     for n1 in listed:
         for n2 in listed:
             if n1 < n2:
@@ -151,7 +152,7 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
     gram += (tuple([0] * rho) + (-1,),)
     curves: list[CurveRecord] = []
     for c in model.curves:
-        m = spec.mults.get(c.name, 0)
+        m = listed.get(c.name, 0)
         cls = tuple(c.cls) + (-m,)
         curves.append(CurveRecord(
             name=spec.renames.get(c.name, c.name), cls=cls,
@@ -160,18 +161,17 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
                               self_int=-1, is_rational=True))
 
     def new_self_int(cls) -> int:
-        total = sum(Fraction(x) * gram[i][j] * Fraction(y)
-                    for i, x in enumerate(cls)
-                    for j, y in enumerate(cls) if x and y)
-        if total.denominator != 1:
-            raise InconsistentMultiplicities(f"non-integral class {cls}")
-        return total.numerator
+        *base, e = cls
+        return int_pairing(model, base, base) - e * e
 
     for name, cls in spec.extra_curves:
         if len(cls) != rho + 1:
             raise InconsistentMultiplicities(
                 f"extra curve {name!r} must live in the blown-up basis")
-        curves.append(CurveRecord(name=name, cls=tuple(int(x) for x in cls),
+        if any(x != int(x) for x in cls):
+            raise InconsistentMultiplicities(f"non-integral class {cls}")
+        cls = tuple(map(int, cls))
+        curves.append(CurveRecord(name=name, cls=cls,
                                   self_int=new_self_int(cls),
                                   is_rational=None))
 

@@ -172,8 +172,8 @@ def pairing(model: SurfaceModel, d1: Sequence, d2: Sequence) -> Fraction:
     v1, v2 = vector(d1), vector(d2)
     if len(v1) != model.rank or len(v2) != model.rank:
         raise DimensionMismatch("divisor dimension does not match model rank")
-    (num1, den1), (num2, den2) = scaled(v1), scaled(v2)
-    return Fraction(int_pairing(model, num1, num2), den1 * den2)
+    (num1, e1), (num2, e2) = scaled(v1), scaled(v2)
+    return Fraction(int_pairing(model, num1, num2), e1 * e2)
 
 
 def int_pairing(model: SurfaceModel, u: Sequence[int],
@@ -199,6 +199,12 @@ def validate_model(model: SurfaceModel) -> None:
             if model.gram[i][j] != model.gram[j][i]:
                 raise InvariantViolation("gram symmetric",
                                          f"entries ({i},{j}) != ({j},{i})")
+    if not all(isinstance(x, int) for row in model.gram for x in row):
+        raise InvariantViolation("gram integral", "non-integer entry")
+    for c in model.curves:
+        if not all(isinstance(x, int) for x in (*c.cls, c.self_int)):
+            raise InvariantViolation("curve integral",
+                                     f"{c.name} has a non-integer entry")
     sig = scalars.signature(model.gram)
     if sig != (1, rho - 1, 0):
         raise InvariantViolation("Hodge signature",
@@ -336,10 +342,11 @@ def dual_cone(generators: Sequence[Sequence], model: SurfaceModel) -> PolyCone:
     """
     gens = [vector(g) for g in generators]
     rho = model.rank
-    gram = scalars.matrix(model.gram)
     normals: dict[tuple[int, ...], DivisorClass] = {}
     for g in gens:
-        normals.setdefault(primitive(scalars.mat_vec(gram, g)), g)
+        num = scaled(g)[0]
+        normals.setdefault(primitive([sum(map(mul, row, num))
+                                      for row in model.gram]), g)
     # order so the first rho normals are independent
     chosen: list[tuple[int, ...]] = []
     for n in normals:

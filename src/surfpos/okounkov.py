@@ -161,15 +161,13 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     guard = len(model.curves) * (model.rank + 2) + 4
     for _ in range(guard):
         next_wall = _next_wall(chamber, t0)
-        p0, p1 = chamber.p0, chamber.p1
-        e0, e1 = chamber.den0, chamber.den1
+        p0, p1 = chamber.p
         mu_candidate: Optional[ExactScalar]
         try:
-            # (P_t)^2 as a quadratic in t, times (den0 * den1)^2
+            # (P_t)^2 as a quadratic in t, times den^2
             mu_candidate = positive_quadratic_root(
-                int_pairing(model, p1, p1) * e0 * e0,
-                2 * int_pairing(model, p0, p1) * e0 * e1,
-                int_pairing(model, p0, p0) * e1 * e1, t0)
+                int_pairing(model, p1, p1), 2 * int_pairing(model, p0, p1),
+                int_pairing(model, p0, p0), t0)
         except NoRealRoot:
             mu_candidate = None
         blen = chamber.curve_pairing(flag_curve)
@@ -198,11 +196,9 @@ def _next_wall(chamber: zariski.Chamber, t0: Fraction) -> Optional[Fraction]:
     (inconsistent data) is a wall too, so that the fixpoint past it
     diagnoses it."""
     tn, td = t0.numerator, t0.denominator
-    e0, e1 = chamber.den0, chamber.den1
-    # n0/e0 + t*n1/e1 falls, and is positive at t0
-    walls = [Fraction(n0 * e1, -n1 * e0)
-             for n0, n1 in chamber.pairings.values()
-             if n1 < 0 and n0 * e1 * td + tn * n1 * e0 > 0]
+    # (n0 + t*n1)/den falls, and is positive at t0
+    walls = [Fraction(n0, -n1) for n0, n1 in chamber.pairings.values()
+             if n1 < 0 and n0 * td + tn * n1 > 0]
     walls += [-c0 / c1 for c0, c1 in chamber.coeffs.values()
               if c1 < 0 and _ev((c0, c1), t0) > 0]
     return min(walls) if walls else None

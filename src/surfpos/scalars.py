@@ -267,13 +267,6 @@ def vector(xs: Sequence) -> Vector:
     return tuple(_frac(x) for x in xs)
 
 
-def matrix(rows: Sequence[Sequence]) -> Matrix:
-    rows = tuple(vector(r) for r in rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionMismatch("ragged matrix")
-    return rows
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -285,14 +278,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 def vec_scale(c, v: Vector) -> Vector:
     c = _frac(c)
     return tuple(c * x for x in v)
-
-
-def vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(vec_dot(row, v) for row in m)
 
 
 def scaled(v: Sequence[Rational]) -> tuple[list[int], int]:

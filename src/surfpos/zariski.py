@@ -8,14 +8,15 @@ complete curve list the result is the unique decomposition.  Run on
 d + s*slope with signs read just right of s = t, the same fixpoint gives
 the chamber of a Newton-Okounkov walk past a wall (:func:`chamber`).
 
-The fixpoint runs on integers: P = p0 + s*p1 is kept as integer vectors
-over one denominator each, every P.C is an integer dot with the model's
-curve table, and every sign is decided by cross-multiplying.  The
-support's integer Gram matrix, read off the same table, is checked
-negative definite and solved for both right-hand sides in one
-fraction-free elimination.  Fractions are built only for the
-negative-part coefficients that solve returns, and for what a caller of
-the chamber reads.
+The fixpoint runs once, on integers, over the parts of d + s*slope: the
+class, then the slope when one is given.  P = (p0 + s*p1)/den is kept as
+integer vectors over one common denominator, every P.C is an integer dot
+with the model's curve table, and every sign, of a pairing or of a
+coefficient, is decided on integers scaled by den.  The support's integer
+Gram matrix, read off the same table, is checked negative definite and
+solved for every part in one fraction-free elimination.  Fractions are
+built only for the solutions that elimination returns, and for what a
+caller of the chamber reads.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
@@ -39,7 +41,7 @@ from .lattice import (
     pairing,
     self_intersection,
 )
-from .scalars import scaled, solve_negative_definite, vector
+from .scalars import solve_negative_definite, vector
 
 
 @dataclass(frozen=True)
@@ -70,45 +72,26 @@ def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
 class Chamber(NamedTuple):
     """Zariski data of d + s*slope just right of s = t, on integers.
 
-    N is the sum of (c0 + s*c1) * C over ``support`` (in curve order) with
-    coeffs[C] = (c0, c1).  P = p0/den0 + s*p1/den1 for integer vectors p0
-    and p1, and ``pairings`` holds, for every curve outside the candidate
-    support, the integers (n0, n1) with P.C = n0/den0 + s*n1/den1.  With
-    no slope, p1 is zero and every c1 and n1 is 0."""
+    Each affine quantity is kept as its parts: the value at s = 0, then the
+    slope when one is given.  P = (p[0] + s*p[1])/den for integer vectors
+    p[k], and ``pairings`` holds, for every curve outside the candidate
+    support, the integers n[k] with P.C = (n[0] + s*n[1])/den.  N is the
+    sum of (c[0] + s*c[1]) * C over ``support`` (in curve order) with
+    coeffs[C] = c.  With no slope every tuple has the one part at s = 0."""
 
     support: tuple[str, ...]
-    coeffs: dict[str, tuple[Fraction, Fraction]]
-    pairings: dict[str, tuple[int, int]]
-    p0: tuple[int, ...]
-    den0: int
-    p1: tuple[int, ...]
-    den1: int
+    coeffs: dict[str, tuple[Fraction, ...]]
+    pairings: dict[str, tuple[int, ...]]
+    p: tuple[tuple[int, ...], ...]
+    den: int
 
     def positive_part(self) -> DivisorClass:
         """P at s = 0."""
-        return tuple(Fraction(x, self.den0) for x in self.p0)
+        return tuple(Fraction(x, self.den) for x in self.p[0])
 
-    def curve_pairing(self, name: str) -> tuple[Fraction, Fraction]:
-        """P.C as (value at s = 0, slope) for a curve outside the support."""
-        n0, n1 = self.pairings[name]
-        return Fraction(n0, self.den0), Fraction(n1, self.den1)
-
-
-def _combine(model: SurfaceModel, num: Sequence[int], den: int,
-             names: Sequence[str], coeffs: Sequence[Fraction]
-             ) -> tuple[tuple[int, ...], int]:
-    """num/den - sum(a * C) over the curves ``names`` with coefficients a,
-    as an integer vector over one denominator."""
-    out_den = math.lcm(den, *(a.denominator for a in coeffs))
-    k = out_den // den
-    out = [k * x for x in num]
-    for n, a in zip(names, coeffs):
-        if a:
-            f = a.numerator * (out_den // a.denominator)
-            for i, c in enumerate(model.curve(n).cls):
-                if c:
-                    out[i] -= f * c
-    return tuple(out), out_den
+    def curve_pairing(self, name: str) -> tuple[Fraction, ...]:
+        """The parts of P.C for a curve outside the support."""
+        return tuple(Fraction(n, self.den) for n in self.pairings[name])
 
 
 def chamber(model: SurfaceModel, d: DivisorClass,
@@ -122,57 +105,55 @@ def chamber(model: SurfaceModel, d: DivisorClass,
     s = t + eps, an affine quantity v0 + s*v1 is negative when
     (v0 + t*v1, v1) is lexicographically negative, so the result is the
     decomposition of d + (t+eps)*slope; with no slope it is that of d.
-    P is kept as integer vectors over one denominator each, every P.C is
-    an integer dot with the model's curve table, and every sign is decided
-    on integers.
+    Every sign is decided on the integer parts over one denominator.
     """
+    parts = (d,) if slope is None else (d, slope)
     tn, td = t.numerator, t.denominator
 
-    def negative(n0: int, e0: int, n1: int, e1: int) -> bool:
-        # n0/e0 + s*n1/e1 just right of s = t, with e0, e1 > 0
-        v = n0 * e1 * td + tn * n1 * e0
-        return v < 0 or (v == 0 and n1 < 0)
+    def negative(v0: int, v1: int = 0) -> bool:
+        # (v0 + s*v1)/den just right of s = t, with den > 0
+        x = v0 * td + tn * v1
+        return x < 0 or x == 0 and v1 < 0
 
-    d0, e0 = scaled(d)
-    d1, e1 = scaled(slope) if slope is not None else ([0] * model.rank, 1)
-    d_dots = model.curve_dots(d0)
-    s_dots = model.curve_dots(d1) if slope is not None else None
+    e = math.lcm(*(x.denominator for v in parts for x in v))
+    q = [[x.numerator * (e // x.denominator) for x in v] for v in parts]
+    dots = list(map(model.curve_dots, q))
     names = list(support)
     while True:
-        coeffs: dict[str, tuple[Fraction, Fraction]] = {}
-        p0, den0, p1, den1 = d0, e0, d1, e1
+        p, den, qs, coeffs = q, e, dots, {}
         if names:
             sols = solve_negative_definite(model.gram_submatrix(names), *(
-                [dots[n] for n in names] for dots in (d_dots, s_dots)
-                if dots is not None))
+                [dk[n] for n in names] for dk in dots))
             if sols is None:
                 raise ModelInconsistency(
                     "support Gram matrix not negative definite for "
                     f"{names}; curve list is incomplete or wrong")
-            sol0 = [x / e0 for x in sols[0]]
-            sol1 = ([x / e1 for x in sols[1]] if slope is not None
-                    else [Fraction(0)] * len(names))
-            for n, a0, a1 in zip(names, sol0, sol1):
-                if negative(a0.numerator, a0.denominator,
-                            a1.numerator, a1.denominator):
-                    raise ModelInconsistency(
-                        f"negative coefficient in candidate negative part "
-                        f"on {names}")
-                coeffs[n] = (a0, a1)
-            p0, den0 = _combine(model, d0, e0, names, sol0)
-            if slope is not None:
-                p1, den1 = _combine(model, d1, e1, names, sol1)
-        q0 = model.curve_dots(p0)
-        q1 = (model.curve_dots(p1) if slope is not None
-              else dict.fromkeys(q0, 0))
-        pairings = {n: (v, q1[n]) for n, v in q0.items() if n not in coeffs}
-        entering = [n for n, (v0, v1) in pairings.items()
-                    if negative(v0, den0, v1, den1)]
+            # the coefficients of each part, times e * k
+            k = math.lcm(*(x.denominator for xs in sols for x in xs))
+            ints = [[x.numerator * (k // x.denominator) for x in xs]
+                    for xs in sols]
+            coeffs = dict(zip(names, zip(*ints)))
+            if any(starmap(negative, coeffs.values())):
+                raise ModelInconsistency(
+                    f"negative coefficient in candidate negative part "
+                    f"on {names}")
+            p, den = [[k * x for x in v] for v in q], e * k
+            for n, cs in coeffs.items():
+                for i, x in enumerate(model.curve(n).cls):
+                    if x:
+                        for v, c in zip(p, cs):
+                            v[i] -= c * x
+            qs = list(map(model.curve_dots, p))
+        pairings = {n: v for n, v in zip(qs[0], zip(*map(dict.values, qs)))
+                    if n not in coeffs}
+        entering = [n for n, v in pairings.items() if negative(*v)]
         if not entering:
-            order = tuple(n for n in q0
-                          if n in coeffs and coeffs[n] != (0, 0))
-            return Chamber(order, {n: coeffs[n] for n in order}, pairings,
-                           tuple(p0), den0, tuple(p1), den1)
+            order = tuple(n for n in qs[0]
+                          if n in coeffs and any(coeffs[n]))
+            return Chamber(order, {n: tuple(Fraction(c, den)
+                                            for c in coeffs[n])
+                                   for n in order},
+                           pairings, tuple(map(tuple, p)), den)
         names += entering
 
 
@@ -183,7 +164,7 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
         raise NotPseudoEffective(f"({coords}) is not in the effective cone")
     ch = chamber(model, d)
     return ZariskiPair(P=ch.positive_part(),
-                       N_coeffs={n: a for n, (a, _) in ch.coeffs.items()},
+                       N_coeffs={n: c[0] for n, c in ch.coeffs.items()},
                        support=ch.support,
                        relative=not model.completeness_declared)
 

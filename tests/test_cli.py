@@ -228,11 +228,16 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
     (FLAG_POINT, {"local_mults": {"E9": 1}}),
     (FLAG_POINT, {"on_curve": "E2"}),
     (FLAG_POINT, {"local_mults": {"L12": -1}}),
+    (["zariski", "--model", "builtin:bl3p2", "--divisor", "2/H"], None),
+    (["zariski", "--model", "builtin:bl3p2", "--divisor", "H/"], None),
+    (["infinitesimal", "--model", "builtin:bl3p2", "--divisor",
+      "3H-E1-E2-E3", "--y", "bogus"], None),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
         "local-mult-unknown-curve", "point-off-flag-curve",
-        "local-mult-negative"])
+        "local-mult-negative", "divisor-no-denominator",
+        "divisor-trailing-slash", "y-bogus"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -246,6 +251,25 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("divisor, offset, expected", [
+    ("2/H", 2, "denominator"),
+    ("H/", 1, "'+' or '-'"),
+    ("2/\u00b2H", 2, "denominator"),
+    ("\u00b2H", 0, "name"),
+    ("\u0663H", 0, "name"),
+])
+def test_cli_divisor_parse_error_names_offset(divisor, offset, expected):
+    """A divisor that does not parse is a parse-error object with the
+    offset and what was expected there.  Only ASCII digits are numbers: a
+    superscript or non-Latin digit is not a name either."""
+    code, out, err = run_cli(["zariski", "--model", "builtin:bl3p2",
+                              "--divisor", divisor])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "parse-error",
+        "message": f"parse error at offset {offset}: expected {expected}"}
 
 
 def test_cli_negative_local_mult_blames_the_point(tmp_path):
@@ -349,3 +373,31 @@ def test_cli_svg_and_csv(tmp_path):
              "--point", "named:E1-on-E2", "--json", str(tmp_path / "q.json"),
              "--svg", str(svg2)])
     assert svg.read_bytes() == svg2.read_bytes()
+    # lambda = 1 > 0: the simplex (0,0), (1,0), (0,1) is drawn over it
+    code, _, _ = run_cli(["polygon", "--model", "builtin:bl3p2",
+                          "--divisor", "3H-E1-E2-E3", "--flag-curve", "E1",
+                          "--json", str(tmp_path / "r.json"),
+                          "--svg", str(svg)])
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["lambda"] == "1"
+    assert ('<path d="M 20.000,380.000 L 200.000,380.000 L 20.000,200.000 Z"'
+            ' fill="none" stroke="#e6550d"') in svg.read_text()
+    # xi = 2 > 0 on the blow-up at a generic point: the inverted simplex
+    # (0,0), (2,0), (2,2) is drawn over it
+    files = []
+    for k in range(2):
+        inf_svg, inf_csv = tmp_path / f"inf{k}.svg", tmp_path / f"inf{k}.csv"
+        code, _, _ = run_cli(["infinitesimal", "--model", "builtin:bl3p2",
+                              "--divisor", "3H-E1-E2-E3",
+                              "--json", str(tmp_path / f"inf{k}.json"),
+                              "--svg", str(inf_svg), "--csv", str(inf_csv)])
+        assert code == 0
+        files.append((inf_svg.read_bytes(), inf_csv.read_bytes()))
+    doc = json.loads((tmp_path / "inf0.json").read_text())
+    assert doc["xi"] == "2" and doc["mu_prime"] == "3"
+    assert ('<path d="M 20.000,380.000 L 260.000,380.000 L 260.000,140.000 Z"'
+            ' fill="none" stroke="#e6550d"') in files[0][0].decode()
+    assert files[0][1].decode().splitlines() == [
+        "t_lo,t_hi,alpha0,alpha1,beta0,beta1,support",
+        "0,2,0,0,0,1,", "2,3,0,0,6,-2,C1;C2;C3"]
+    assert files[0] == files[1]

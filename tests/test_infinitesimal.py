@@ -91,6 +91,19 @@ def test_blow_up_inconsistent_mults():
         blow_up(b1, BlowupSpec(mults={"E": 1, "F": 2}))
 
 
+def test_blow_up_rejects_non_integral_input():
+    """A non-integral extra class or multiplicity is an error, even when
+    truncating it would give an integral self-intersection."""
+    half = Fraction(1, 2)
+    with pytest.raises(InconsistentMultiplicities,
+                       match="non-integral class"):
+        blow_up(sp.builtin("bl1p2"), BlowupSpec(
+            mults={"E": 1}, extra_curves=(("X", (half, half, -1)),)))
+    with pytest.raises(InconsistentMultiplicities,
+                       match="bad multiplicity for 'E1'"):
+        blow_up(sp.builtin("bl2p2"), BlowupSpec(mults={"E1": half}))
+
+
 def test_blow_up_of_bl8_is_not_complete():
     # nine general points: the negative-curve list is infinite, so the
     # generic blow-up of bl8p2 degrades to a relative model

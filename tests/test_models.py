@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -42,6 +43,30 @@ def test_minus_one_curves_are_minus_one():
                 assert sorted(bs) == [0] * (r - 1) + [1]
             else:
                 assert all(b <= 0 for b in bs)
+
+
+def _with_curve(model, name, cls, self_int):
+    curves = tuple(dataclasses.replace(c, cls=cls, self_int=self_int)
+                   if c.name == name else c for c in model.curves)
+    return dataclasses.replace(model, curves=curves)
+
+
+def test_validate_model_rejects_non_integer_entries():
+    """The Gram matrix, the curve classes and the self-intersections are
+    integers; each model below passes every other check."""
+    b1 = builtin("bl1p2")
+    half = Fraction(1, 2)
+    bad = [
+        ("gram integral", dataclasses.replace(b1, gram=tuple(
+            tuple(map(Fraction, row)) for row in b1.gram))),
+        # (1/2, 1/2) has square 0 and pairs positively with the ample class
+        ("curve integral", _with_curve(b1, "F", (half, half), 0)),
+        ("curve integral", _with_curve(b1, "E", (0, 1), Fraction(-1))),
+    ]
+    for invariant, model in bad:
+        with pytest.raises(InvariantViolation) as e:
+            sp.lattice.validate_model(model)
+        assert e.value.invariant == invariant
 
 
 def test_enumeration_out_of_range():

@@ -14,6 +14,8 @@ curve in the direction of the curve (tangent).  The properties:
   polygon at the generic y and at every special direction;
 - the pulled-back decomposition a blown-up walk starts from equals the
   decomposition fixpoint on the blow-up, also at points of Neg(D);
+- a chamber's integer pairings with the curves outside its support are
+  those of its positive part, with or without a slope;
 - the integer elimination in ``scalars`` (solving, determinant, rank,
   inverse, negative definiteness) agrees with ``sympy.Matrix``.
 
@@ -35,7 +37,11 @@ from hypothesis import strategies as st
 import surfpos as sp
 from surfpos import models as models_mod
 from surfpos import scalars, zariski
-from surfpos.errors import PointInNegLocus, SingularMatrix
+from surfpos.errors import (
+    ModelInconsistency,
+    PointInNegLocus,
+    SingularMatrix,
+)
 from surfpos.infinitesimal import (
     GENERIC_POINT,
     BlowupSpec,
@@ -266,8 +272,54 @@ def test_pulled_back_start_is_the_decomposition_on_the_blow_up(data):
     bm, pullback, exc = blow_up(model, x)
     start = _pulled_back_start(pair, x, exc)
     ch = zariski.chamber(bm, pullback(d))
-    assert list(start.items()) == [(n, a) for n, (a, _) in ch.coeffs.items()]
+    assert list(start.items()) == [(n, c[0]) for n, c in ch.coeffs.items()]
     assert (exc in start) == bool(neg_curves_through(model, pair, x.mults))
+
+
+@SETTINGS
+@given(st.data())
+def test_chamber_pairings_are_those_of_its_positive_part(data):
+    """Chamber data read over its one denominator: P + N is the class part
+    by part, and for every curve outside the support the stored pairings
+    are those of P's value and slope with the curve (``lattice.pairing``),
+    for plain chambers and for slope -C just right of a drawn t, where P
+    is nef and N effective.  A zero slope changes a plain chamber only by
+    its second part."""
+    model = model_of(*data.draw(st.sampled_from(complete_models())))
+    # the reference class plus a pseudo-effective class is big
+    d = model.divisor([a + b for a, b in zip(data.draw(big_classes(model)),
+                                             model.ample_ref)])
+    flag = data.draw(st.sampled_from([c.name for c in model.curves]))
+    slope = model.divisor([-x for x in model.curve_class(flag)])
+    t = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+    plain = zariski.chamber(model, d)
+    zero = zariski.chamber(model, d, (Fraction(0),) * model.rank)
+    assert zero.support == plain.support
+    assert ({n: c[0] for n, c in zero.coeffs.items()}
+            == {n: c[0] for n, c in plain.coeffs.items()})
+    assert zero.positive_part() == plain.positive_part()
+    try:
+        sloped = zariski.chamber(model, d, slope, t)
+    except ModelInconsistency:
+        # d - (t + eps) C is not pseudo-effective; d - eps C is, as d is big
+        t = Fraction(0)
+        sloped = zariski.chamber(model, d, slope, t)
+    # just right of t, P is nef and N is effective with that support
+    assert all((n0 + t * n1, n1) >= (0, 0)
+               for n0, n1 in sloped.pairings.values())
+    assert all((c0 + t * c1, c1) > (0, 0)
+               for c0, c1 in sloped.coeffs.values())
+    for ch, parts in ((plain, [d]), (sloped, [d, slope])):
+        assert len(ch.p) == len(parts)
+        p = [tuple(Fraction(x, ch.den) for x in v) for v in ch.p]
+        for k, part in enumerate(parts):
+            n = combination(model, {c: a[k] for c, a in ch.coeffs.items()})
+            assert tuple(x + y for x, y in zip(p[k], n)) == tuple(part)
+        assert set(ch.support).isdisjoint(ch.pairings)
+        for name, ints in ch.pairings.items():
+            cls = model.curve_class(name)
+            assert [Fraction(x, ch.den) for x in ints] == [
+                pairing(model, v, cls) for v in p]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix
 
 import surfpos.scalars as sc
 from surfpos.errors import MixedRadicands, NoRealRoot, NotSymmetric, SingularMatrix
@@ -101,8 +102,7 @@ def test_solve_linear_examples():
     x = sc.solve_linear([[-1, 1], [1, -2]], [1, 0])
     assert x == (Fraction(-2), Fraction(-1))
     # verify by substitution
-    assert sc.mat_vec(sc.matrix([[-1, 1], [1, -2]]), x) == \
-        (Fraction(1), Fraction(0))
+    assert Matrix([[-1, 1], [1, -2]]) * Matrix(x) == Matrix([1, 0])
 
 
 def test_solve_linear_random_roundtrip():
@@ -116,7 +116,7 @@ def test_solve_linear_random_roundtrip():
                 break
         x = tuple(Fraction(rng.randrange(-7, 8), rng.randrange(1, 5))
                   for _ in range(n))
-        rhs = sc.mat_vec(sc.matrix(g), x)
+        rhs = [Fraction(int(v.p), int(v.q)) for v in Matrix(g) * Matrix(x)]
         assert sc.solve_linear(g, rhs) == x
 
 
@@ -134,8 +134,8 @@ def test_determinant_rank_inverse():
     assert sc.rank([[0, 0], [0, 0]]) == 0
     g = [[-1, 1, 1], [1, -2, 0], [1, 0, -1]]
     inv = sc.inverse(g)
-    assert sc.inverse(inv) == sc.matrix(g)
-    assert all(sc.mat_vec(sc.matrix(g), col) == e for col, e in zip(
+    assert Matrix(sc.inverse(inv)) == Matrix(g)
+    assert all(Matrix(g) * Matrix(col) == Matrix(e) for col, e in zip(
         zip(*inv), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     with pytest.raises(SingularMatrix):
         sc.inverse([[1, 2], [2, 4]])
