@@ -4,6 +4,11 @@ Subcommands cover every computation; outputs are deterministic JSON
 (sorted keys, canonical rational strings), optional SVG renderings, and
 per-chamber CSV tables.  Exit codes: 0 success, 1 domain error (with a
 machine-readable error object on stderr), 2 usage error.
+
+A process loads only what its subcommand runs: the parser gives arguments
+to that subcommand alone, and each branch of :func:`run` imports the
+modules it calls after its inputs are decoded, so a malformed input is
+rejected before any of them loads.
 """
 
 from __future__ import annotations
@@ -13,14 +18,22 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import infinitesimal, lattice, models, okounkov, seshadri, zariski
+from . import lattice, models
 from .errors import ParseError, SchemaError, SurfposError, UnknownSymbol
-from .infinitesimal import BlowupSpec, GENERIC_POINT, InfFlagSpec
-from .lattice import PointSpec, SurfaceModel
+from .lattice import (
+    GENERIC_POINT,
+    BlowupSpec,
+    InfFlagSpec,
+    PointSpec,
+    SurfaceModel,
+)
 from .models import _dec_frac, _dec_int, _enc_frac
-from .okounkov import NOPolygon
 from .scalars import Quad
+
+if TYPE_CHECKING:
+    from .okounkov import NOPolygon
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +138,15 @@ def enc_vec(v):
 
 
 def enc_polygon(poly: NOPolygon, extra=None) -> dict:
+    from .okounkov import polygon_area
+
     doc = {
         "flag_curve": poly.flag_curve,
         "nu": enc_scalar(poly.nu),
         "mu": enc_scalar(poly.mu),
         "vertices": [[enc_scalar(t), enc_scalar(y)]
                      for t, y in _canonical_vertices(poly)],
-        "area": enc_scalar(okounkov.polygon_area(poly)),
+        "area": enc_scalar(polygon_area(poly)),
         "pieces": [
             {"t_lo": enc_scalar(p.t_lo), "t_hi": enc_scalar(p.t_hi),
              "alpha": enc_vec(p.alpha), "beta": enc_vec(p.beta),
@@ -251,7 +266,8 @@ def _resolve_flag(args, model: SurfaceModel) -> tuple[str, PointSpec]:
 def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
     if arg is None:
         if model.metadata.get("default_point") == "on-E-tangent":
-            return infinitesimal.point_on_exceptional_spec(model)
+            from .infinitesimal import point_on_exceptional_spec
+            return point_on_exceptional_spec(model)
         return GENERIC_POINT
     if arg == "generic":
         return GENERIC_POINT
@@ -284,59 +300,65 @@ def _resolve_y(arg) -> InfFlagSpec:
     raise SurfposError(f"bad --y value {arg!r}; use generic or on:<curve>")
 
 
-def _add_common(sp, divisor=True, flag=False, point=False, y=False):
-    sp.add_argument("--model", required=True,
-                    help="builtin:<name> or a model JSON path")
-    if divisor:
-        sp.add_argument("--divisor", required=True,
-                        help="expression like '2H - 3/2*E'")
-    if flag:
-        sp.add_argument("--flag-curve", required=True, dest="flag_curve")
-    if point:
-        sp.add_argument("--point", default=None,
-                        help="generic, named:<name>, or a spec JSON path")
-    if y:
-        sp.add_argument("--y", default=None, help="generic or on:<curve>")
-    sp.add_argument("--json", default=None, help="output path or -")
-    sp.add_argument("--svg", default=None)
-    sp.add_argument("--csv", default=None)
+# every option, by the name the subcommands below list it under
+_OPTIONS = {
+    "model": ("--model", {"required": True,
+                          "help": "builtin:<name> or a model JSON path"}),
+    "divisor": ("--divisor", {"required": True,
+                              "help": "expression like '2H - 3/2*E'"}),
+    "flag": ("--flag-curve", {"required": True, "dest": "flag_curve"}),
+    "point": ("--point",
+              {"help": "generic, named:<name>, or a spec JSON path"}),
+    "y": ("--y", {"help": "generic or on:<curve>"}),
+    "json": ("--json", {"help": "output path or -"}),
+    "svg": ("--svg", {}),
+    "csv": ("--csv", {}),
+    "deg": ("--deg", {"required": True, "help": "(A^2) as a rational"}),
+    "target": ("--target", {"required": True, "help": "target bound tau"}),
+    "exclude-q1": ("--exclude-q1", {"action": "store_true",
+                                    "dest": "exclude_q1"}),
+    "bare-json": ("--json", {}),  # genericbound's, without help
+}
+
+# subcommand: (help, its options in order)
+_COMMANDS = {
+    "zariski": ("Zariski decomposition", "model divisor json svg csv"),
+    "loci": ("null and negative loci", "model divisor json svg csv"),
+    "polygon": ("Newton-Okounkov polygon",
+                "model divisor flag point json svg csv"),
+    "infinitesimal": ("infinitesimal polygon at a point",
+                      "model divisor point y json svg csv"),
+    "seshadri": ("Seshadri constant", "model divisor point json svg csv"),
+    "moving-seshadri": ("moving Seshadri constant",
+                        "model divisor point json svg csv"),
+    "lambda": ("largest simplex constant",
+               "model divisor flag point json svg csv"),
+    "nefcone": ("dual of the effective cone", "model json svg csv"),
+    "freemult": ("base-point-free multiple bound",
+                 "model divisor json svg csv"),
+    "genericbound": ("very-general-point Seshadri bound",
+                     "deg target exclude-q1 bare-json"),
+    "blowup": ("blow up a model at a point", "model point json svg csv"),
+    "check": ("re-run model invariants", "model json svg csv"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given ``command``, only that
+    subcommand gets its options; the help of each is registered anyway,
+    so the top-level help and usage errors are the same."""
     ap = argparse.ArgumentParser(
         prog="surfpos",
         description="Exact Zariski decompositions, Newton-Okounkov "
                     "polygons, and Seshadri-type invariants on surface "
                     "models.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("zariski", help="Zariski decomposition"))
-    _add_common(sub.add_parser("loci", help="null and negative loci"))
-    _add_common(sub.add_parser("polygon", help="Newton-Okounkov polygon"),
-                flag=True, point=True)
-    _add_common(sub.add_parser("infinitesimal",
-                               help="infinitesimal polygon at a point"),
-                point=True, y=True)
-    _add_common(sub.add_parser("seshadri", help="Seshadri constant"),
-                point=True)
-    _add_common(sub.add_parser("moving-seshadri",
-                               help="moving Seshadri constant"), point=True)
-    _add_common(sub.add_parser("lambda", help="largest simplex constant"),
-                flag=True, point=True)
-    _add_common(sub.add_parser("nefcone", help="dual of the effective cone"),
-                divisor=False)
-    _add_common(sub.add_parser("freemult",
-                               help="base-point-free multiple bound"))
-    gb = sub.add_parser("genericbound",
-                        help="very-general-point Seshadri bound")
-    gb.add_argument("--deg", required=True, help="(A^2) as a rational")
-    gb.add_argument("--target", required=True, help="target bound tau")
-    gb.add_argument("--exclude-q1", action="store_true", dest="exclude_q1")
-    gb.add_argument("--json", default=None)
-    _add_common(sub.add_parser("blowup", help="blow up a model at a point"),
-                divisor=False, point=True)
-    _add_common(sub.add_parser("check", help="re-run model invariants"),
-                divisor=False)
+    for name, (help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            for key in options.split():
+                flag, kwargs = _OPTIONS[key]
+                sp.add_argument(flag, **kwargs)
     return ap
 
 
@@ -356,7 +378,10 @@ def _attach_signed_values(argv: list[str] | None) -> list[str]:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(_attach_signed_values(argv))
+    argv = _attach_signed_values(argv)
+    # argparse runs the first token not read as an option
+    command = next((t for t in argv if t[:1] != "-"), None)
+    args = build_parser(command).parse_args(argv)
     model = None
     if getattr(args, "model", None):
         model = models.resolve_model(args.model)
@@ -364,6 +389,7 @@ def run(argv=None) -> int:
 
     if cmd == "zariski":
         d = parse_divisor(args.divisor, model)
+        from . import zariski
         pair = zariski.zariski_decompose(model, d)
         vol = zariski.self_intersection(model, pair.P)
         emit({"P": enc_vec(pair.P),
@@ -376,6 +402,7 @@ def run(argv=None) -> int:
               "big": vol > 0}, args)
     elif cmd == "loci":
         d = parse_divisor(args.divisor, model)
+        from . import zariski
         rep = zariski.loci(model, d)
         emit({"null": sorted(rep.null_curves),
               "neg": sorted(rep.neg_curves),
@@ -383,6 +410,7 @@ def run(argv=None) -> int:
     elif cmd == "polygon":
         d = parse_divisor(args.divisor, model)
         flag, point = _resolve_flag(args, model)
+        from . import okounkov
         res = okounkov.criterion_at_point(model, d, flag, point)
         poly = res["polygon"]
         emit(enc_polygon(poly, {"origin_in": res["origin_in"],
@@ -395,6 +423,7 @@ def run(argv=None) -> int:
         d = parse_divisor(args.divisor, model)
         x = _resolve_blowup_point(args.point, model)
         y = _resolve_y(args.y)
+        from . import infinitesimal
         poly, xi_val = infinitesimal._polygon_and_xi(model, d, x, y)
         extra = {"mu_prime": enc_scalar(poly.mu),
                  "xi": None if xi_val is None else enc_scalar(xi_val)}
@@ -407,11 +436,13 @@ def run(argv=None) -> int:
     elif cmd == "seshadri":
         d = parse_divisor(args.divisor, model)
         x = _resolve_blowup_point(args.point, model)
+        from . import seshadri
         emit({"epsilon": enc_scalar(seshadri.seshadri_direct(model, d, x))},
              args)
     elif cmd == "moving-seshadri":
         d = parse_divisor(args.divisor, model)
         x = _resolve_blowup_point(args.point, model)
+        from . import infinitesimal
         res = infinitesimal.moving_seshadri(model, d, x)
         emit({"status": res.status.value,
               "value": None if res.value is None else enc_scalar(res.value)},
@@ -419,6 +450,7 @@ def run(argv=None) -> int:
     elif cmd == "lambda":
         d = parse_divisor(args.divisor, model)
         flag, point = _resolve_flag(args, model)
+        from . import seshadri
         lam = seshadri.largest_simplex_flag(model, d, flag, point)
         emit({"lambda": enc_scalar(lam)}, args)
     elif cmd == "nefcone":
@@ -427,18 +459,21 @@ def run(argv=None) -> int:
               "facet_normals": [list(f) for f in cone.facet_normals]}, args)
     elif cmd == "freemult":
         b = parse_divisor(args.divisor, model)
+        from . import seshadri
         cone = lattice.dual_cone(model.effective_gens(), model)
         emit({"m": seshadri.free_multiple(cone, b, model)}, args)
     elif cmd == "genericbound":
+        degree, target = _dec_frac(args.deg), _dec_frac(args.target)
+        from . import seshadri
         query = seshadri.GenericBoundQuery(
-            degree=_dec_frac(args.deg), target=_dec_frac(args.target),
-            exclude_q1=args.exclude_q1)
+            degree=degree, target=target, exclude_q1=args.exclude_q1)
         res = seshadri.generic_seshadri_bound(query)
         emit({"holds": res.holds,
               "witnesses": [list(w) for w in res.witnesses],
               "q_range": list(res.q_range)}, args)
     elif cmd == "blowup":
         x = _resolve_blowup_point(args.point, model)
+        from . import infinitesimal
         bm, _, exc = infinitesimal.blow_up(model, x)
         doc = models.model_to_dict(bm)
         doc["exceptional"] = exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,8 +29,12 @@ from .errors import (
     PointInNegLocus,
 )
 from .lattice import (
+    GENERIC_POINT,
+    GENERIC_Y,
+    BlowupSpec,
     CurveRecord,
     DivisorClass,
+    InfFlagSpec,
     PointSpec,
     SurfaceModel,
     int_pairing,
@@ -38,47 +42,6 @@ from .lattice import (
 )
 from .okounkov import NOPolygon
 from .scalars import ExactScalar
-
-
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Point to blow up, described by curve multiplicities.
-
-    ``mults`` assigns each listed curve its multiplicity at the point
-    (omitted names mean the curve misses it).  New negative curves that
-    appear only after blowing up (in the extended basis, with the
-    exceptional coordinate last) go in ``extra_curves``; set
-    ``extra_complete`` when that list is known to complete the effective
-    cone.  ``renames`` relabels strict transforms.
-    """
-
-    mults: dict[str, int] = field(default_factory=dict)
-    extra_curves: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    extra_complete: bool = False
-    exceptional_name: Optional[str] = None
-    renames: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def generic(self) -> bool:
-        return all(m == 0 for m in self.mults.values()) \
-            and not self.extra_curves
-
-
-@dataclass(frozen=True)
-class InfFlagSpec:
-    """Point y on the exceptional curve: generic, or the intersection with
-    a named strict transform (which must actually meet E)."""
-
-    on: Optional[str] = None
-    mult: int = 1
-
-    @property
-    def generic(self) -> bool:
-        return self.on is None
-
-
-GENERIC_POINT = BlowupSpec()
-GENERIC_Y = InfFlagSpec()
 
 
 def point_on_exceptional_spec(model: SurfaceModel) -> BlowupSpec:

@@ -5,7 +5,10 @@ A :class:`SurfaceModel` is the finite combinatorial stand-in for a smooth
 projective surface: a unimodular-free lattice of rank rho with a symmetric
 integer Gram matrix of signature (1, rho-1), a finite list of curve records
 declared to generate the effective cone, and a reference ample class.
-Divisor classes are plain tuples of Fractions in the model basis.
+Divisor classes are plain tuples of Fractions in the model basis.  The
+point specs live here too: :class:`PointSpec` (a point on a flag curve),
+:class:`BlowupSpec` (a point to blow up) and :class:`InfFlagSpec` (a point
+on the exceptional curve), so that decoding a point loads no blow-up code.
 
 Every pairing against the curve list reads one integer table per model,
 the row gram . C of each listed curve C, built on first use and read by
@@ -33,6 +36,11 @@ from .errors import (
 from .scalars import primitive, rank, scaled, vector
 
 DivisorClass = tuple[Fraction, ...]
+
+
+class _Generators(tuple):
+    """Generators already converted to Fraction vectors, which
+    :func:`cone_contains` takes as they are."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,47 @@ class PointSpec:
     def through(self) -> frozenset[str]:
         """Names of listed curves passing through x (flag curve excluded)."""
         return frozenset(n for n, m in self.local_mults.items() if m > 0)
+
+
+@dataclass(frozen=True)
+class BlowupSpec:
+    """Point to blow up, described by curve multiplicities.
+
+    ``mults`` assigns each listed curve its multiplicity at the point
+    (omitted names mean the curve misses it).  New negative curves that
+    appear only after blowing up (in the extended basis, with the
+    exceptional coordinate last) go in ``extra_curves``; set
+    ``extra_complete`` when that list is known to complete the effective
+    cone.  ``renames`` relabels strict transforms.
+    """
+
+    mults: dict[str, int] = field(default_factory=dict)
+    extra_curves: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    extra_complete: bool = False
+    exceptional_name: Optional[str] = None
+    renames: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def generic(self) -> bool:
+        return all(m == 0 for m in self.mults.values()) \
+            and not self.extra_curves
+
+
+@dataclass(frozen=True)
+class InfFlagSpec:
+    """Point y on the exceptional curve: generic, or the intersection with
+    a named strict transform (which must actually meet E)."""
+
+    on: Optional[str] = None
+    mult: int = 1
+
+    @property
+    def generic(self) -> bool:
+        return self.on is None
+
+
+GENERIC_POINT = BlowupSpec()
+GENERIC_Y = InfFlagSpec()
 
 
 @dataclass(frozen=True)
@@ -144,10 +193,17 @@ class SurfaceModel:
                 f"expected {self.rank} coordinates, got {len(v)}")
         return v
 
+    @cached_property
+    def _effective_gens(self) -> _Generators:
+        gens = self.effective_generators
+        if gens is None:
+            gens = (c.cls for c in self.curves)
+        return _Generators(vector(g) for g in gens)
+
     def effective_gens(self) -> tuple[DivisorClass, ...]:
-        if self.effective_generators is not None:
-            return self.effective_generators
-        return tuple(vector(c.cls) for c in self.curves)
+        """The declared generators, or else the listed curve classes, as
+        Fraction vectors built once per model."""
+        return self._effective_gens
 
     def gram_submatrix(self, names: Sequence[str]
                        ) -> tuple[tuple[int, ...], ...]:
@@ -255,7 +311,8 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
     Phase-one simplex with Bland's rule over exact rationals; the systems
     here are tiny (rank <= 9, a few hundred generators at most).
     """
-    gens = [vector(g) for g in generators]
+    gens = generators if isinstance(generators, _Generators) \
+        else [vector(g) for g in generators]
     target = vector(v)
     if all(x == 0 for x in target):
         return True

@@ -1,5 +1,8 @@
 """Seshadri constants, largest simplex constants, the generic-point
 lower-bound enumerator, and the base-point-free multiple bound.
+
+The walks, blow-ups and decompositions are imported by the functions that
+use them, so the generic-point bound and the free multiple load neither.
 """
 
 from __future__ import annotations
@@ -9,10 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import infinitesimal, okounkov, zariski
 from .errors import InvalidQuery, MissingCanonical, NonIntegralInput, NotAmple, NotNef
-from .infinitesimal import BlowupSpec, GENERIC_POINT
-from .lattice import PointSpec, PolyCone, SurfaceModel, pairing
+from .lattice import (
+    GENERIC_POINT,
+    BlowupSpec,
+    PointSpec,
+    PolyCone,
+    SurfaceModel,
+    pairing,
+)
 from .scalars import ExactScalar, rational_sqrt, vector
 
 
@@ -24,6 +32,8 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     (read off the blow-up records pairing positively with E), capped by
     sqrt(A^2), where the pulled-back class stops being in the positive cone.
     """
+    from . import infinitesimal, zariski
+
     a = model.divisor(a)
     if not zariski.is_nef(model, a):
         raise NotNef("Seshadri constants need a nef class")
@@ -40,6 +50,8 @@ def largest_simplex_flag(model: SurfaceModel, a: Sequence, flag_curve: str,
                          point: PointSpec) -> ExactScalar:
     """Largest standard simplex inside the polygon of an ample class for
     one flag."""
+    from . import okounkov, zariski
+
     a = model.divisor(a)
     if not zariski.is_ample(model, a):
         raise NotAmple("largest simplex constant needs an ample class")
@@ -139,6 +151,8 @@ def free_multiple(nef: PolyCone, b: Sequence, model: SurfaceModel) -> int:
 def default_free_bundle(model: SurfaceModel, a: Sequence):
     """Fujita-type bundle K + 4A whose nef translates are base-point free
     on a surface."""
+    from . import zariski
+
     a = model.divisor(a)
     if model.canonical is None:
         raise MissingCanonical("model has no canonical class")

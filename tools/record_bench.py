@@ -11,11 +11,17 @@ the root with each run's result line as printed, its exit code, and the
 CPU count, Python version and commit (and whether the measured program
 has changes not yet committed).  A run that fails, prints no result
 or times out is recorded as such, never dropped.  Standard library only.
+
+The header also records, as the runs begin, the value of
+PYTHONDONTWRITEBYTECODE and whether src/surfpos/__pycache__ holds bytecode
+current for every source of the package.  Without it each CLI process
+compiles what it imports, which shows in ``cli-cold`` and ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -37,6 +43,31 @@ def git(*args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def bytecode_current(package: Path) -> bool:
+    """True iff every module of the package has a cached .pyc for this
+    interpreter whose header matches its source: size and mtime, or the
+    source hash for a hash-based .pyc."""
+    for src in package.glob("*.py"):
+        pyc = Path(importlib.util.cache_from_source(str(src)))
+        try:
+            head = pyc.read_bytes()[:16]
+        except OSError:
+            return False
+        if len(head) < 16 or head[:4] != importlib.util.MAGIC_NUMBER:
+            return False
+        if int.from_bytes(head[4:8], "little") & 1:
+            ok = head[8:16] == importlib.util.source_hash(src.read_bytes())
+        else:
+            st = src.stat()
+            ok = (int.from_bytes(head[8:12], "little")
+                  == int(st.st_mtime) & 0xFFFFFFFF
+                  and int.from_bytes(head[12:16], "little")
+                  == st.st_size & 0xFFFFFFFF)
+        if not ok:
+            return False
+    return True
 
 
 def run_one(workload: str, seconds: float, trace: int) -> dict:
@@ -69,6 +100,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    dont_write = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    current = bytecode_current(ROOT / "src" / "surfpos")
     runs = []
     for trace in (0, 1):
         for w in bench["workloads"]:
@@ -83,7 +116,9 @@ def main(argv=None) -> int:
     doc = {"commit": git("rev-parse", "HEAD"),
            "uncommitted_changes": None if changed is None else bool(changed),
            "cpu_count": os.cpu_count(),
-           "python": platform.python_version(), "seed": SEED,
+           "python": platform.python_version(),
+           "PYTHONDONTWRITEBYTECODE": dont_write,
+           "bytecode_current": current, "seed": SEED,
            "seconds": seconds, "runs": runs}
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
