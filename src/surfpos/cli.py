@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,86 +41,48 @@ if TYPE_CHECKING:
 # divisor expression parsing
 # ----------------------------------------------------------------------
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = set("0123456789")
-_IDENT_CONT = _IDENT_START | _DIGITS
+_TERM = re.compile(
+    r"([+-]?)(?:([0-9]+)(?:/([0-9]*))?\*?)?([A-Za-z_][A-Za-z0-9_]*)?")
 
 
 def parse_divisor(text: str, model: SurfaceModel):
     """Parse a linear combination like "2H - 3/2*E1 + E2".
 
-    Grammar: expr := ['+'|'-'] term (('+'|'-') term)*;
-             term := [rational ['*']] ident; rational := int | int '/' int.
-    Whitespace is removed up front; error offsets refer to the condensed
-    text.
+    Grammar: expr := ['+'|'-'] term (('+'|'-') term)*, where a term,
+    [int ['/' int] ['*']] name, is one match of ``_TERM``.  Whitespace is
+    removed up front; error offsets refer to the condensed text.
     """
     s = "".join(text.split())
+    if not s:
+        raise ParseError(0, "expression")
+    total = [Fraction(0)] * model.rank
     pos = 0
-
-    def peek():
-        return s[pos] if pos < len(s) else ""
-
-    def number():
-        nonlocal pos
-        start = pos
-        while peek() in _DIGITS:
-            pos += 1
-        num = int(s[start:pos])
-        if peek() == "/":
-            pos += 1
-            dstart = pos
-            while peek() in _DIGITS:
-                pos += 1
-            if dstart == pos:
-                raise ParseError(pos, "denominator")
-            den = int(s[dstart:pos])
-            if den == 0:
-                raise ParseError(dstart, "non-zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def ident():
-        nonlocal pos
-        start = pos
-        if peek() not in _IDENT_START:
-            raise ParseError(pos, "name")
-        pos += 1
-        while peek() in _IDENT_CONT:
-            pos += 1
-        return s[start:pos], start
-
-    def term():
-        nonlocal pos
-        coef = Fraction(1)
-        if peek() in _DIGITS:
-            coef = number()
-            if peek() == "*":
-                pos += 1
-        name, at = ident()
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        sign, num, den, name = m.groups()
+        if pos and not sign:
+            raise ParseError(pos, "'+' or '-'")
+        if den == "":
+            raise ParseError(m.end(3), "denominator")
+        at = m.start(2)
+        try:
+            n = int(num or 1)
+            at = m.start(3)
+            d = int(den or 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(at, "shorter integer") from None
+        if not d:
+            raise ParseError(at, "non-zero denominator")
+        if not name:
+            raise ParseError(m.end(), "name")
         try:
             cls = model.resolve(name)
         except KeyError:
-            raise UnknownSymbol(name, at) from None
-        return tuple(coef * x for x in cls)
-
-    if not s:
-        raise ParseError(0, "expression")
-    total = (Fraction(0),) * model.rank
-    sign = Fraction(1)
-    if peek() in "+-":
-        sign = Fraction(-1) if peek() == "-" else Fraction(1)
-        pos += 1
-    t = term()
-    total = tuple(a + sign * b for a, b in zip(total, t))
-    while pos < len(s):
-        op = peek()
-        if op not in "+-":
-            raise ParseError(pos, "'+' or '-'")
-        pos += 1
-        sign = Fraction(-1) if op == "-" else Fraction(1)
-        t = term()
-        total = tuple(a + sign * b for a, b in zip(total, t))
-    return total
+            raise UnknownSymbol(name, m.start(4)) from None
+        coef = Fraction(-n if sign == "-" else n, d)
+        total = [a + coef * x for a, x in zip(total, cls)]
+        pos = m.end()
+    return tuple(total)
 
 
 # ----------------------------------------------------------------------
@@ -163,12 +126,7 @@ def _canonical_vertices(poly: NOPolygon):
     """Counterclockwise cycle starting at the smallest vertex (exact
     lexicographic comparison)."""
     verts = list(poly.vertices)
-    start = 0
-    for i in range(1, len(verts)):
-        t, y = verts[i]
-        t0, y0 = verts[start]
-        if t < t0 or (t == t0 and y < y0):
-            start = i
+    start = verts.index(min(verts))
     return verts[start:] + verts[:start]
 
 
@@ -252,7 +210,7 @@ def _resolve_flag(args, model: SurfaceModel) -> tuple[str, PointSpec]:
     else:
         name = arg
         ps = _read_spec(arg, lambda doc: PointSpec(
-            on_curve=doc.get("on_curve", flag_curve),
+            on_curve=str(doc.get("on_curve", flag_curve)),
             local_mults={str(k): _dec_int(v) for k, v in
                          doc.get("local_mults", {}).items()},
             generic=bool(doc.get("generic", False))))
@@ -271,7 +229,7 @@ def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
         return GENERIC_POINT
     if arg == "generic":
         return GENERIC_POINT
-    return _read_spec(arg, lambda doc: BlowupSpec(
+    spec = _read_spec(arg, lambda doc: BlowupSpec(
         mults={str(k): _dec_int(v) for k, v in doc.get("mults", {}).items()},
         extra_curves=tuple(
             (str(c["name"]), tuple(_dec_int(x) for x in c["class"]))
@@ -280,6 +238,9 @@ def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
         exceptional_name=doc.get("exceptional_name"),
         renames={str(k): str(v) for k, v in doc.get("renames", {}).items()},
     ))
+    if isinstance(spec.exceptional_name, (str, type(None))):
+        return spec
+    raise SchemaError("exceptional_name is not a string")
 
 
 def _read_spec(path, decode):
@@ -288,7 +249,7 @@ def _read_spec(path, decode):
     doc = models._load_json(path)
     try:
         return decode(doc)
-    except (KeyError, TypeError, AttributeError) as e:
+    except models._MALFORMED as e:
         raise SchemaError(f"malformed spec document: {e}") from None
 
 
@@ -514,13 +475,15 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except SurfposError as e:
-        sys.stderr.write(json.dumps(
-            {"error": e.code, "message": str(e)}, sort_keys=True) + "\n")
-        return 1
+        error = {"error": e.code, "message": str(e)}
     except OSError as e:
-        sys.stderr.write(json.dumps(
-            {"error": "io-error", "message": str(e)}, sort_keys=True) + "\n")
-        return 1
+        error = {"error": "io-error", "message": str(e)}
+    except ValueError as e:  # an exact result too long for str() to write
+        if "integer string conversion" not in str(e):
+            raise
+        error = {"error": "out-of-range", "message": str(e)}
+    sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

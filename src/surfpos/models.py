@@ -310,6 +310,10 @@ def model_to_dict(model: SurfaceModel) -> dict:
     return doc
 
 
+# what decoding a JSON document of the wrong shape raises
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
+
 def model_from_dict(doc: dict) -> SurfaceModel:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
@@ -353,7 +357,7 @@ def model_from_dict(doc: dict) -> SurfaceModel:
             completeness_declared=bool(doc.get("complete", False)),
             ample_ref_is_ample=bool(doc.get("ample_is_ample", True)),
             points=points, generic_families=families, metadata=metadata)
-    except (KeyError, TypeError) as e:
+    except _MALFORMED as e:
         raise SchemaError(f"malformed model document: {e}") from None
     validate_model(model)
     return model
@@ -370,7 +374,8 @@ def dumps_model(model: SurfaceModel) -> str:
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    # bad syntax or UTF-8, a number int() refuses, nesting past the stack
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"invalid JSON: {e}") from None
 
 

@@ -201,6 +201,17 @@ def _bl2p2_doc_with_r(r):
     return doc
 
 
+def _bl2p2_doc(**fields):
+    from surfpos.models import model_to_dict
+    return {**model_to_dict(sp.builtin("bl2p2")), **fields}
+
+
+def _example_doc_with_local_mults(local_mults):
+    doc = _example_doc_with_mult(1)
+    doc["points"]["E1-on-E2"]["local_mults"] = local_mults
+    return doc
+
+
 BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
 FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
@@ -232,12 +243,35 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
     (["zariski", "--model", "builtin:bl3p2", "--divisor", "H/"], None),
     (["infinitesimal", "--model", "builtin:bl3p2", "--divisor",
       "3H-E1-E2-E3", "--y", "bogus"], None),
+    (["zariski", "--model", "builtin:bl3p2", "--divisor", "1" * 5000 + "H"],
+     None),
+    (BAD_MULT, b'{"mults": {"E1": "\xff"}}'),
+    (["zariski", "--divisor", "H", "--model"], b"\xfe\xff"),
+    (BAD_MULT, '{"mults": {"E1": 1' + "0" * 5000 + "}}"),
+    (["zariski", "--divisor", "H", "--model"], '{"rank": ' + "3" * 4400 + "}"),
+    (BAD_MULT, "[" * 100000),
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(points=["generic"])),
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(metadata=[])),
+    (["zariski", "--divisor", "E1", "--model"],
+     _example_doc_with_local_mults([])),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"exceptional_name": ["F"]}),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"exceptional_name": 7}),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"mults": {"E1": 1}, "extra_curves": [
+         {"name": "T", "class": [int("7" * 4290), -1, 0, -1]}]}),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
         "local-mult-unknown-curve", "point-off-flag-curve",
         "local-mult-negative", "divisor-no-denominator",
-        "divisor-trailing-slash", "y-bogus"])
+        "divisor-trailing-slash", "y-bogus", "divisor-5000-digits",
+        "point-not-utf8", "model-not-utf8", "point-number-5001-digits",
+        "model-number-4400-digits", "point-nested-100000-deep",
+        "model-points-list", "model-metadata-list", "model-local-mults-list",
+        "exceptional-name-list", "exceptional-name-7",
+        "result-too-long-to-write"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -245,7 +279,11 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     multiplicity 1 or 0."""
     if spec is not None:
         path = tmp_path / "spec.json"
-        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        if isinstance(spec, bytes):
+            path.write_bytes(spec)
+        else:
+            path.write_text(
+                spec if isinstance(spec, str) else json.dumps(spec))
         argv = argv + [str(path)]
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""

@@ -1,0 +1,160 @@
+"""Fuzz the CLI's readers of outside input (hypothesis, derandomized so
+that every run draws the same examples).
+
+Whatever the input, ``parse_divisor`` returns a class or raises a located
+error, and ``cli.main`` returns 0, or 1 with a JSON error object as the
+last line of stderr; argparse may exit with 2.  Files are valid documents
+with one field replaced by a random JSON value, or random bytes."""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import surfpos as sp
+from surfpos.cli import main, parse_divisor
+from surfpos.errors import ParseError, UnknownSymbol
+from surfpos.models import model_to_dict
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+# each example runs a whole CLI query
+FILE_SETTINGS = settings(SETTINGS, max_examples=40)
+BL3 = sp.builtin("bl3p2")
+
+TOKENS = ["0", "1", "7", "10", "/", "*", "+", "-", " ", "\t", "H", "E1",
+          "E3", "L12", "Q", "_", "x9", "²", "٣"]
+GRAMMAR = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+# integers around the limit of what int() converts from text
+LONG_DIGITS = st.integers(4290, 4310).map(lambda n: "7" * n)
+
+
+@SETTINGS
+@given(st.one_of(GRAMMAR, st.text(), LONG_DIGITS.map("H-{}E1".format)))
+def test_parse_divisor_gives_a_class_or_a_located_error(text):
+    condensed = "".join(text.split())
+    try:
+        d = parse_divisor(text, BL3)
+    except UnknownSymbol as e:
+        assert condensed.startswith(e.name, e.offset)
+    except ParseError as e:
+        assert 0 <= e.offset <= len(condensed)
+    else:
+        assert len(d) == BL3.rank
+        assert all(type(x) is Fraction for x in d)
+
+
+@SETTINGS
+@given(st.lists(st.builds(Fraction, st.integers(), st.integers(1, 999)),
+                min_size=4, max_size=4),
+       st.booleans(), st.booleans(), st.booleans())
+def test_written_class_parses_back(cls, star, spaced, first_plus):
+    sep = " " if spaced else ""
+    text = sep.join(
+        f"{'-' if q < 0 else '+'}{sep}{abs(q.numerator)}/{q.denominator}"
+        f"{'*' if star else ''}{label}"
+        for q, label in zip(cls, BL3.basis_labels))
+    if not first_plus:
+        text = text.removeprefix("+")
+    assert parse_divisor(text, BL3) == tuple(cls)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["E1", "H", "L12", "1/2", "-1"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+# JSON text for one field: any value, an integer longer than int() reads,
+# or nesting deeper than the decoder's stack
+FIELD = st.one_of(JSON.map(json.dumps), LONG_DIGITS, st.just("[" * 10**5))
+
+
+def fields(doc, path=()):
+    """The path of every value in a JSON document, the whole one first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from fields(value, path + (key,))
+
+
+def replaced(doc, path, text: str) -> str:
+    """The document as JSON text, with the value at ``path`` replaced."""
+    if not path:
+        return text
+    doc = json.loads(json.dumps(doc))
+    *parent, last = path
+    holder = doc
+    for key in parent:
+        holder = holder[key]
+    holder[last] = "@FIELD@"
+    return json.dumps(doc).replace('"@FIELD@"', text)
+
+
+def document(doc):
+    """Files from ``doc``: one field replaced, or random bytes."""
+    edits = st.tuples(st.sampled_from(list(fields(doc))), FIELD)
+    return st.one_of(edits.map(lambda e: replaced(doc, *e).encode()),
+                     st.binary(max_size=40))
+
+
+MODEL = model_to_dict(sp.builtin("bl2p2"))
+MODEL["points"]["p"] = {"on_curve": "E1", "local_mults": {"L12": 1},
+                        "generic": False}
+MODEL_COMMANDS = [
+    ["zariski", "--divisor", "2H-E1"],
+    ["polygon", "--divisor", "3H-E1-E2", "--flag-curve", "E1",
+     "--point", "named:p"],
+    ["check"],
+]
+# each command with a valid --point document for it
+POINT_COMMANDS = [
+    (["polygon", "--model", "builtin:bl2p2", "--divisor", "3H-E1-E2",
+      "--flag-curve", "E1", "--point"],
+     {"on_curve": "E1", "local_mults": {"L12": 1}, "generic": False}),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"mults": {"E1": 1}, "exceptional_name": "F", "renames": {"E1": "E1s"},
+      "extra_complete": False,
+      "extra_curves": [{"name": "T", "class": [1, -1, 0, -1]}]}),
+]
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def assert_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2
+        return
+    assert code in (0, 1)
+    if code == 1:
+        assert isinstance(json.loads(err.getvalue().splitlines()[-1]), dict)
+
+
+@FILE_SETTINGS
+@given(st.sampled_from(MODEL_COMMANDS), document(MODEL))
+def test_model_file_exits_0_or_with_a_json_error(spec_path, argv, data):
+    spec_path.write_bytes(data)
+    assert_exit_contract([argv[0], "--model", str(spec_path), *argv[1:]])
+
+
+@FILE_SETTINGS
+@given(st.one_of([st.tuples(st.just(argv), document(doc))
+                  for argv, doc in POINT_COMMANDS]))
+def test_point_file_exits_0_or_with_a_json_error(spec_path, case):
+    argv, data = case
+    spec_path.write_bytes(data)
+    assert_exit_contract(argv + [str(spec_path)])
