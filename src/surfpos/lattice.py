@@ -244,7 +244,11 @@ def self_intersection(model: SurfaceModel, d: Sequence) -> Fraction:
 
 
 def validate_model(model: SurfaceModel) -> None:
-    """Re-check every structural invariant; raises InvariantViolation."""
+    """Re-check every structural invariant; raises InvariantViolation.
+
+    The Hodge index theorem, signature (1, rho-1), is checked on the ample
+    reference A: A^2 > 0, and the form is negative definite on A-perp by
+    the Sylvester test of :func:`scalars.solve_negative_definite`."""
     rho = model.rank
     if len(model.basis_labels) != rho or len(set(model.basis_labels)) != rho:
         raise InvariantViolation("basis labels", "need rho distinct labels")
@@ -261,10 +265,19 @@ def validate_model(model: SurfaceModel) -> None:
         if not all(isinstance(x, int) for x in (*c.cls, c.self_int)):
             raise InvariantViolation("curve integral",
                                      f"{c.name} has a non-integer entry")
-    sig = scalars.signature(model.gram)
-    if sig != (1, rho - 1, 0):
+    if self_intersection(model, model.ample_ref) <= 0:
+        raise InvariantViolation("ample reference", "non-positive square")
+    # A-perp has the integer basis w_j = a_i e_j - a_j e_i (j != i), where
+    # a = gram . A and a_i != 0
+    num = scaled(model.ample_ref)[0]
+    a = [sum(map(mul, row, num)) for row in model.gram]
+    i = next(k for k, x in enumerate(a) if x)
+    w = [[a[i] * (k == j) - a[j] * (k == i) for k in range(rho)]
+         for j in range(rho) if j != i]
+    if scalars.solve_negative_definite(
+            [[int_pairing(model, u, v) for v in w] for u in w]) is None:
         raise InvariantViolation("Hodge signature",
-                                 f"expected (1,{rho - 1},0), got {sig}")
+                                 f"expected (1,{rho - 1},0)")
     names = [c.name for c in model.curves]
     if len(set(names)) != len(names):
         raise InvariantViolation("curve names", "duplicate names")
@@ -276,8 +289,6 @@ def validate_model(model: SurfaceModel) -> None:
         if model.meet(c.name, c.name) != c.self_int:
             raise InvariantViolation("curve self-intersection",
                                      f"{c.name} cached value is wrong")
-    if self_intersection(model, model.ample_ref) <= 0:
-        raise InvariantViolation("ample reference", "non-positive square")
     if model.ample_ref_is_ample:
         for n, v in model.curve_pairings(model.ample_ref).items():
             if v <= 0:

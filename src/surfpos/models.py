@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -260,16 +261,25 @@ def _enc_frac(x: Fraction) -> str:
         else f"{x.numerator}/{x.denominator}"
 
 
+# a rational: a JSON integer, or a string of ASCII digits with an optional
+# sign and denominator; no decimal point, exponent, underscore or padding
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _dec_frac(s) -> Fraction:
+    if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        raise SchemaError(
+            f"bad rational {s!r}: Invalid literal for Fraction: {str(s)!r}")
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as e:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as e:  # too many digits, n/0
         raise SchemaError(f"bad rational {s!r}: {e}") from None
 
 
 def _dec_int(s) -> int:
-    f = _dec_frac(s)
-    if f.denominator != 1:
+    # a JSON number with a point or an exponent is no integer, even 2.0
+    f = None if isinstance(s, float) else _dec_frac(s)
+    if f is None or f.denominator != 1:
         raise SchemaError(f"expected integer, got {s!r}")
     return f.numerator
 

@@ -257,7 +257,7 @@ def polygon_area(poly: NOPolygon) -> ExactScalar:
         x2, y2 = v[(i + 1) % len(v)]
         total = total + (x1 * y2 - x2 * y1)
     area = total / 2
-    return -area if scalars.scalar_sign(area) < 0 else area
+    return -area if area < 0 else area
 
 
 def vertical_slice(poly: NOPolygon, t) -> tuple[ExactScalar, ExactScalar]:

@@ -7,9 +7,9 @@ decision path (they only appear as display approximations).
 
 Matrices and vectors are plain tuples of Fractions.  The surfaces handled
 by this package have Picard rank at most nine: one fraction-free
-Gauss-Jordan row reduction on integer-scaled rows serves solving,
-determinants, rank, inverses and, by Sylvester's criterion on its pivots,
-negative definiteness; a symmetric congruence gives the inertia of a form.
+Gauss-Jordan row reduction on integer-scaled rows serves solving, rank,
+inverses and, by Sylvester's criterion on its pivots, negative
+definiteness.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
@@ -224,12 +222,6 @@ def rational_sqrt(x) -> ExactScalar:
     return quad(0, 1, x)
 
 
-def scalar_sign(x: ExactScalar) -> int:
-    if isinstance(x, Quad):
-        return x._sign()
-    return (x > 0) - (x < 0)
-
-
 def positive_quadratic_root(c2, c1, c0, lower=0) -> ExactScalar:
     """Smallest root of c2*t^2 + c1*t + c0 = 0 that is >= ``lower``.
 
@@ -312,37 +304,21 @@ def _row_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
 
 
 def _square_rows(g: Sequence[Sequence], what: str, *columns: Sequence
-                 ) -> tuple[list[list[int]], int]:
+                 ) -> list[list[int]]:
     """The rows of the square matrix g, each followed by its entries of
-    ``columns`` and scaled to integers, and the product of the scales."""
+    ``columns`` and scaled to integers."""
     if any(len(row) != len(g) for row in g):
         raise DimensionMismatch(f"{what} needs a square matrix")
     if any(len(c) != len(g) for c in columns):
         raise DimensionMismatch(f"{what} needs a square system")
-    rows = [scaled([*row, *(c[i] for c in columns)])
+    return [scaled([*row, *(c[i] for c in columns)])[0]
             for i, row in enumerate(g)]
-    return [num for num, _ in rows], math.prod(den for _, den in rows)
 
 
 def _solutions(a: list[list[int]]) -> Matrix:
     """X with g * X = the columns past g, in a reduced full-rank system."""
     return tuple(tuple(Fraction(x, row[i]) for x in row[len(a):])
                  for i, row in enumerate(a))
-
-
-def solve_linear(g: Sequence[Sequence], rhs: Sequence) -> Vector:
-    """Exact solution of the square system g * x = rhs."""
-    a, _ = _square_rows(g, "solve_linear", rhs)
-    if len(_row_reduce(a, len(a))[0]) < len(a):
-        raise SingularMatrix("zero pivot column")
-    return tuple(x for x, in _solutions(a))
-
-
-def determinant(g: Sequence[Sequence]) -> Fraction:
-    a, scale = _square_rows(g, "determinant")
-    pivots, swaps = _row_reduce(a, len(a))
-    return (Fraction((-1) ** swaps * (pivots or [1])[-1], scale)
-            if len(pivots) == len(a) else Fraction(0))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -352,8 +328,8 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def inverse(g: Sequence[Sequence]) -> Matrix:
     n = len(g)
-    a, _ = _square_rows(g, "inverse",
-                        *([int(i == j) for i in range(n)] for j in range(n)))
+    a = _square_rows(g, "inverse",
+                     *([int(i == j) for i in range(n)] for j in range(n)))
     if len(_row_reduce(a, n)[0]) < n:
         raise SingularMatrix("zero pivot column")
     return _solutions(a)
@@ -364,7 +340,7 @@ def solve_negative_definite(g: Sequence[Sequence], *rhs: Sequence
     """The solutions of g * x = b for each b in ``rhs`` if the symmetric g
     is negative definite, else None: by Sylvester's criterion, iff the
     pivots alternate -, +, -, ... with no row swap (a zero leading minor)."""
-    a, _ = _square_rows(g, "solve_negative_definite", *rhs)
+    a = _square_rows(g, "solve_negative_definite", *rhs)
     if tuple(map(tuple, g)) != tuple(zip(*g)):
         raise NotSymmetric("the form is not symmetric")
     pivots, swaps = _row_reduce(a, len(a))
@@ -372,64 +348,6 @@ def solve_negative_definite(g: Sequence[Sequence], *rhs: Sequence
             (p < 0) != (k % 2 == 0) for k, p in enumerate(pivots)):
         return None
     return tuple(zip(*_solutions(a)))
-
-
-def is_negative_definite(g: Sequence[Sequence]) -> bool:
-    """Sylvester's criterion, by :func:`solve_negative_definite`."""
-    return solve_negative_definite(g) is not None
-
-
-def signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric rational form.
-
-    Symmetric Gaussian congruence with exact pivots; a zero diagonal with a
-    nonzero off-diagonal entry is repaired by adding the partner row/column,
-    which preserves inertia.
-    """
-    m = [list(vector(row)) for row in g]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("signature needs a square matrix")
-    if tuple(map(tuple, m)) != tuple(zip(*m)):
-        raise NotSymmetric("the form is not symmetric")
-    pos = neg = zero = 0
-
-    def swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        m[i], m[j] = m[j], m[i]
-
-    k = 0
-    while k < n:
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if piv is not None:
-                swap(k, piv)
-            else:
-                off = next((i for i in range(k + 1, n) if m[k][i] != 0), None)
-                if off is None:
-                    zero += 1
-                    k += 1
-                    continue
-                # add row/col ``off`` into k: diagonal becomes 2*m[k][off]
-                for j in range(n):
-                    m[k][j] += m[off][j]
-                for i in range(n):
-                    m[i][k] += m[i][off]
-        p = m[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / p
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-                for j in range(k, n):
-                    m[j][i] = m[i][j]
-        k += 1
-    return pos, neg, zero
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:

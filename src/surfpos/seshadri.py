@@ -107,24 +107,11 @@ def generic_seshadri_bound(query: GenericBoundQuery) -> GenericBoundResult:
     if not query.exclude_q1:
         raise InvalidQuery(
             "multiplicity-one curves need geometric input; set exclude_q1")
-    q_max_frac = d / (d - tau * tau)
-    q_max = q_max_frac.numerator // q_max_frac.denominator
-    if q_max_frac.denominator == 1:
-        q_max -= 1  # strict inequality q < d/(d - tau^2)
-    witnesses = []
-    for q in range(2, q_max + 1):
-        # p >= ceil(sqrt(d*q*(q-1))), p/q < tau
-        lower_sq = d * q * (q - 1)
-        p_lo = math.isqrt(lower_sq.numerator // lower_sq.denominator)
-        while Fraction(p_lo * p_lo) < lower_sq:
-            p_lo += 1
-        p_hi_frac = tau * q
-        p_hi = (p_hi_frac.numerator - 1) // p_hi_frac.denominator \
-            if p_hi_frac.denominator == 1 else \
-            p_hi_frac.numerator // p_hi_frac.denominator
-        for p in range(p_lo, p_hi + 1):
-            if Fraction(p, q) < tau and Fraction(p * p) >= lower_sq:
-                witnesses.append((p, q))
+    q_max = math.ceil(d / (d - tau * tau)) - 1
+    # p >= sqrt(d*q*(q-1)), that is p^2 >= ceil(d*q*(q-1)), and p < tau*q
+    witnesses = [(p, q) for q in range(2, q_max + 1)
+                 for p in range(math.isqrt(math.ceil(d * q * (q - 1)) - 1) + 1,
+                                math.ceil(tau * q))]
     return GenericBoundResult(holds=not witnesses,
                               witnesses=tuple(witnesses),
                               q_range=(2, q_max))

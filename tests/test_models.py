@@ -69,6 +69,47 @@ def test_validate_model_rejects_non_integer_entries():
         assert e.value.invariant == invariant
 
 
+def _bl2p2_doc(**fields):
+    return {**model_to_dict(builtin("bl2p2")), **fields}
+
+
+def _bl2p2_curves(edit):
+    doc = _bl2p2_doc()
+    edit(doc["curves"])
+    return doc
+
+
+@pytest.mark.parametrize("invariant, doc", [
+    ("basis labels", _bl2p2_doc(basis=["H", "H", "E2"])),
+    ("gram shape", _bl2p2_doc(gram=[["1", "0", "0"], ["0", "-1", "0"]])),
+    ("gram symmetric", _bl2p2_doc(gram=[["1", "1", "0"], ["0", "-1", "0"],
+                                        ["0", "0", "-1"]])),
+    # signature (2, 1); every listed curve keeps its self-intersection and
+    # pairs positively with the ample class, whose square is 7
+    ("Hodge signature", _bl2p2_doc(
+        gram=[["1", "-2", "-2"], ["-2", "-1", "-4"], ["-2", "-4", "-1"]],
+        ample=["2", "-2", "-1"])),
+    ("curve names", _bl2p2_curves(lambda cs: cs[1].update(name="E2"))),
+    ("negative curves", _bl2p2_curves(lambda cs: cs.append(
+        {**cs[1], "name": "E1b"}))),
+    ("curve self-intersection", _bl2p2_curves(
+        lambda cs: cs[0].update(self_int="-2"))),
+    # a fibre class: square 0, and no pairing is checked
+    ("ample reference", _bl2p2_doc(ample=["1", "-1", "0"],
+                                   ample_is_ample=False)),
+    # the line class: square 1, but it misses E1 and E2
+    ("ample reference", _bl2p2_doc(ample=["1", "0", "0"])),
+    ("point spec", _bl2p2_doc(points={"x": {"on_curve": "C"}})),
+], ids=["basis-labels", "gram-shape", "gram-symmetric", "hodge-signature",
+        "curve-names", "negative-curves", "curve-self-intersection",
+        "ample-square", "ample-pairing", "point-spec"])
+def test_validate_model_names_the_broken_invariant(invariant, doc):
+    """Each document is bl2p2 with exactly one invariant broken."""
+    with pytest.raises(InvariantViolation) as e:
+        model_from_dict(doc)
+    assert e.value.invariant == invariant
+
+
 def test_enumeration_out_of_range():
     with pytest.raises(InvariantViolation):
         enumerate_minus_one_curves(0)

@@ -7,7 +7,7 @@ point of a listed curve, and at the point of that blow-up's exceptional
 curve in the direction of the curve (tangent).  The properties:
 
 - the Zariski decomposition meets its definition, checked with
-  ``lattice.pairing`` and ``scalars.signature`` only;
+  ``lattice.pairing`` and ``sympy.Matrix`` only;
 - the chamber walk equals the per-t oracle at every rational breakpoint
   and inside every piece;
 - xi equals the largest inverted simplex of the full infinitesimal
@@ -16,8 +16,11 @@ curve in the direction of the curve (tangent).  The properties:
   decomposition fixpoint on the blow-up, also at points of Neg(D);
 - a chamber's integer pairings with the curves outside its support are
   those of its positive part, with or without a slope;
-- the integer elimination in ``scalars`` (solving, determinant, rank,
-  inverse, negative definiteness) agrees with ``sympy.Matrix``.
+- the integer elimination in ``scalars`` (rank, inverse, negative
+  definiteness with solving) agrees with ``sympy.Matrix``;
+- the Hodge index check of ``lattice.validate_model`` accepts a form
+  exactly when its inertia is (1, rho-1, 0), by Descartes' rule of signs
+  on the characteristic polynomial.
 
 The walk, xi and pulled-back properties need every negative curve
 listed, so they run on the models whose curve list is declared complete.
@@ -31,13 +34,14 @@ from typing import Optional
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos import models as models_mod
 from surfpos import scalars, zariski
 from surfpos.errors import (
+    InvariantViolation,
     ModelInconsistency,
     PointInNegLocus,
     SingularMatrix,
@@ -51,8 +55,7 @@ from surfpos.infinitesimal import (
     exceptional_directions,
     point_on_exceptional_spec,
 )
-from surfpos.lattice import PointSpec, pairing
-from surfpos.scalars import signature
+from surfpos.lattice import PointSpec, SurfaceModel, pairing, validate_model
 from surfpos.zariski import neg_curves_through
 
 from conftest import assert_breakpoint_oracle
@@ -180,7 +183,7 @@ def test_zariski_decomposition_meets_its_definition(data, which):
     assert all(a > 0 for a in pair.N_coeffs.values())
     gram = [[pairing(model, model.curve_class(a), model.curve_class(b))
              for b in pair.support] for a in pair.support]
-    assert signature(gram) == (0, len(pair.support), 0)
+    assert (-sympy_matrix(gram)).is_positive_definite
     for c in model.curves:
         v = pairing(model, pair.P, model.curve_class(c.name))
         assert v >= 0, (which, d, c.name)
@@ -356,25 +359,17 @@ def from_sympy(x) -> Fraction:
 
 
 @SETTINGS
-@given(rational_matrices(symmetric=False),
-       st.lists(st.integers(-5, 5), min_size=5, max_size=5))
-def test_elimination_agrees_with_sympy(rows, rhs):
+@given(rational_matrices(symmetric=False))
+def test_elimination_agrees_with_sympy(rows):
     n = len(rows)
     g = sympy_matrix(rows)
-    det = g.det()
-    assert scalars.determinant(rows) == from_sympy(det)
     assert scalars.rank(rows) == g.rank()
     if n > 1:
         assert scalars.rank(rows[:-1]) == g[:-1, :].rank()
-    b = rhs[:n]
-    if det == 0:
-        for solve in (lambda: scalars.solve_linear(rows, b),
-                      lambda: scalars.inverse(rows)):
-            with pytest.raises(SingularMatrix):
-                solve()
+    if g.det() == 0:
+        with pytest.raises(SingularMatrix):
+            scalars.inverse(rows)
         return
-    x = g.LUsolve(sympy.Matrix(b))
-    assert scalars.solve_linear(rows, b) == tuple(map(from_sympy, x))
     inv = g.inv()
     assert scalars.inverse(rows) == tuple(
         tuple(from_sympy(inv[i, j]) for j in range(n)) for i in range(n))
@@ -386,10 +381,68 @@ def test_elimination_agrees_with_sympy(rows, rhs):
 def test_negative_definite_agrees_with_sympy(rows, rhs):
     g = sympy_matrix(rows)
     definite = (-g).is_positive_definite
-    assert scalars.is_negative_definite(rows) == definite
     sols = scalars.solve_negative_definite(rows, rhs[:len(rows)])
     assert (sols is not None) == definite
     if definite:
-        assert signature(rows) == (0, len(rows), 0)
         x = g.LUsolve(sympy.Matrix(rhs[:len(rows)]))
         assert sols == (tuple(map(from_sympy, x)),)
+
+
+@st.composite
+def hodge_forms(draw):
+    """A symmetric integer matrix of size rho <= 6 and an integer class A
+    with A^2 > 0.  Most matrices are B^T diag B with diag = (1, ...), whose
+    other entries are negative or, for a third of them, any of -2 ... 1,
+    so that forms of signature (1, rho-1), degenerate forms (B singular)
+    and forms with more positive directions all occur; the others have
+    independent entries in [-3, 3]."""
+    rho = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(-3, 3), min_size=rho * rho,
+                         max_size=rho * rho))
+    rows = [flat[i * rho:(i + 1) * rho] for i in range(rho)]
+    kind = draw(st.sampled_from(["hyperbolic", "diagonal", "free"]))
+    if kind != "free":
+        signs = [-2, -1] if kind == "hyperbolic" else [-2, -1, 0, 1]
+        diag = [1] + draw(st.lists(st.sampled_from(signs), min_size=rho - 1,
+                                   max_size=rho - 1))
+        gram = [[sum(rows[k][i] * diag[k] * rows[k][j] for k in range(rho))
+                 for j in range(rho)] for i in range(rho)]
+    else:
+        gram = [[rows[min(i, j)][max(i, j)] for j in range(rho)]
+                for i in range(rho)]
+    a = draw(st.lists(st.integers(-3, 3), min_size=rho, max_size=rho))
+    assume(sum(x * g * y for x, row in zip(a, gram)
+               for g, y in zip(row, a)) > 0)
+    return gram, a
+
+
+def descartes_inertia(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+    Every root of its characteristic polynomial is real, so Descartes'
+    rule of signs counts the positive and the negative roots exactly."""
+    cs = sympy.Matrix(gram).charpoly().all_coeffs()[::-1]
+
+    def changes(xs):
+        signs = [x > 0 for x in xs if x]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return (changes(cs), changes([c * (-1) ** k for k, c in enumerate(cs)]),
+            next(k for k, c in enumerate(cs) if c))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(hodge_forms())
+def test_hodge_check_agrees_with_descartes(form):
+    gram, a = form
+    rho = len(gram)
+    model = SurfaceModel(rank=rho,
+                         basis_labels=tuple(f"e{i}" for i in range(rho)),
+                         gram=tuple(map(tuple, gram)), curves=(),
+                         ample_ref=scalars.vector(a))
+    try:
+        validate_model(model)
+        accepted = True
+    except InvariantViolation as e:
+        assert e.invariant == "Hodge signature"
+        accepted = False
+    assert accepted == (descartes_inertia(gram) == (1, rho - 1, 0))

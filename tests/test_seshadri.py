@@ -111,6 +111,44 @@ def test_generic_bound_quintic():
     assert (4, 2) in res2.witnesses
 
 
+def _brute_generic_bound(d: Fraction, tau: Fraction):
+    """The q range and the witnesses (p, q) by direct search, on integers:
+    d = a/b and tau = c/e, so p^2 >= d*q*(q-1) is p^2*b >= a*q*(q-1),
+    p/q < tau is p*e < c*q, and q < d/(d - tau^2) is
+    q*(a*e^2 - c^2*b) < a*e^2.  For each q, p runs down from c*q/e until
+    p^2 is too small, which it stays for every smaller p."""
+    a, b, c, e = d.numerator, d.denominator, tau.numerator, tau.denominator
+    q_max = 1
+    while (q_max + 1) * (a * e * e - c * c * b) < a * e * e:
+        q_max += 1
+    witnesses = []
+    for q in range(2, q_max + 1):
+        found = []
+        for p in range(c * q // e, 0, -1):
+            if p * p * b < a * q * (q - 1):
+                break
+            if p * e < c * q:
+                found.append((p, q))
+        witnesses += reversed(found)
+    return witnesses, q_max
+
+
+def test_generic_bound_matches_direct_search():
+    """Every degree n/k (n < 60, k in 1, 2, 3, 7) and target n/k (n < 40,
+    k in 1, 2, 3, 5) with target^2 below the degree."""
+    degrees = {Fraction(n, k) for n in range(1, 60) for k in (1, 2, 3, 7)}
+    targets = {Fraction(n, k) for n in range(1, 40) for k in (1, 2, 3, 5)}
+    for d in degrees:
+        for tau in targets:
+            if tau * tau >= d:
+                continue
+            witnesses, q_max = _brute_generic_bound(d, tau)
+            res = generic_seshadri_bound(GenericBoundQuery(
+                degree=d, target=tau, exclude_q1=True))
+            assert (res.holds, res.witnesses, res.q_range) == \
+                (not witnesses, tuple(witnesses), (2, q_max)), (d, tau)
+
+
 def test_generic_bound_invalid_queries():
     with pytest.raises(InvalidQuery):
         generic_seshadri_bound(GenericBoundQuery(degree=Fraction(1),

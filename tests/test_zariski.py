@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 import surfpos as sp
 from surfpos.errors import ModelInconsistency, NotBigNef, NotPseudoEffective, PointInNegLocus
@@ -105,9 +106,8 @@ def test_decompose_random_invariants():
             assert tuple(x + y for x, y in zip(pair.P, n)) == tuple(d)
             # support Gram negative definite, coefficients positive
             if pair.support:
-                import surfpos.scalars as sc
-                assert sc.is_negative_definite(
-                    model.gram_submatrix(pair.support))
+                gram = Matrix(model.gram_submatrix(pair.support))
+                assert (-gram).is_positive_definite
                 assert all(a > 0 for a in pair.N_coeffs.values())
             # Neg inside Null
             rep = sp.loci(model, d)
