@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import models as models_mod
 from . import okounkov, scalars, zariski
@@ -334,8 +333,7 @@ class SeshadriStatus(enum.Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
-class MovingSeshadri:
+class MovingSeshadri(NamedTuple):
     status: SeshadriStatus
     value: Optional[ExactScalar] = None
 

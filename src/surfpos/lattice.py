@@ -21,11 +21,10 @@ classes, and :func:`int_pairing` two integer vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import scalars
 from .errors import (
@@ -43,8 +42,7 @@ class _Generators(tuple):
     :func:`cone_contains` takes as they are."""
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     """A named curve class.  Negative records stand for the unique
     irreducible curve in their class; non-negative ones for a movable
     family whose generic member avoids any previously unseen point."""
@@ -55,8 +53,7 @@ class CurveRecord:
     is_rational: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class GenericFamily:
+class GenericFamily(NamedTuple):
     """A movable class with a member of multiplicity ``mult`` through a
     generic point; consumed by blow-ups to complete the curve list."""
 
@@ -65,8 +62,7 @@ class GenericFamily:
     name_hint: str
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(NamedTuple):
     """Combinatorial position of a point x on a flag curve.
 
     ``local_mults[E]`` is the local intersection number (E.C)_x of the
@@ -75,7 +71,7 @@ class PointSpec:
     """
 
     on_curve: str
-    local_mults: Mapping[str, int] = field(default_factory=dict)
+    local_mults: Mapping[str, int] = {}
     generic: bool = True
 
     def mult(self, name: str) -> int:
@@ -86,8 +82,7 @@ class PointSpec:
         return frozenset(n for n, m in self.local_mults.items() if m > 0)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(NamedTuple):
     """Point to blow up, described by curve multiplicities.
 
     ``mults`` assigns each listed curve its multiplicity at the point
@@ -98,11 +93,11 @@ class BlowupSpec:
     cone.  ``renames`` relabels strict transforms.
     """
 
-    mults: dict[str, int] = field(default_factory=dict)
+    mults: dict[str, int] = {}
     extra_curves: tuple[tuple[str, tuple[int, ...]], ...] = ()
     extra_complete: bool = False
     exceptional_name: Optional[str] = None
-    renames: dict[str, str] = field(default_factory=dict)
+    renames: dict[str, str] = {}
 
     @property
     def generic(self) -> bool:
@@ -110,8 +105,7 @@ class BlowupSpec:
             and not self.extra_curves
 
 
-@dataclass(frozen=True)
-class InfFlagSpec:
+class InfFlagSpec(NamedTuple):
     """Point y on the exceptional curve: generic, or the intersection with
     a named strict transform (which must actually meet E)."""
 
@@ -127,8 +121,9 @@ GENERIC_POINT = BlowupSpec()
 GENERIC_Y = InfFlagSpec()
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _ModelFields(NamedTuple):
+    """The fields; :class:`SurfaceModel` adds the cached tables."""
+
     rank: int
     basis_labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
@@ -138,10 +133,12 @@ class SurfaceModel:
     effective_generators: Optional[tuple[DivisorClass, ...]] = None
     completeness_declared: bool = True
     ample_ref_is_ample: bool = True
-    points: Mapping[str, PointSpec] = field(default_factory=dict)
+    points: Mapping[str, PointSpec] = {}
     generic_families: tuple[GenericFamily, ...] = ()
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = {}
 
+
+class SurfaceModel(_ModelFields):
     @cached_property
     def _blow_ups(self) -> dict:
         """Blow-ups by point, kept by :func:`surfpos.infinitesimal.blow_up`."""
@@ -385,8 +382,7 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
 # double description: dual cone and facet structure
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(NamedTuple):
     """A rational polyhedral cone given by extreme rays and, dually, by the
     primitive classes whose pairing hyperplanes support its facets."""
 

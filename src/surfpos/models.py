@@ -18,8 +18,6 @@ Builtin catalog:
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import json
 import re
 from fractions import Fraction
@@ -78,10 +76,21 @@ def _minus_one_classes(r: int) -> tuple[tuple[int, ...], ...]:
                 yield from parts(remaining - b, remaining_sq - b * b,
                                  slots - 1, b, prefix + [b])
         for base in parts(target_sum, target_sq, r, a, []):
-            for perm in set(itertools.permutations(base)):
+            for perm in _distinct_permutations(tuple(base)):
                 found.append((a,) + tuple(-x for x in perm))
     # store with positive multiplicities: class is (a, -b_1, ..., -b_r)
     return tuple(sorted(found))
+
+
+def _distinct_permutations(items: tuple[int, ...]):
+    """Each distinct ordering of ``items`` once, for items whose equal
+    entries are adjacent (as in a sorted tuple)."""
+    if not items:
+        yield ()
+    for i, x in enumerate(items):
+        if i == 0 or x != items[i - 1]:
+            for rest in _distinct_permutations(items[:i] + items[i + 1:]):
+                yield (x,) + rest
 
 
 def _curve_name(cls: tuple[int, ...]) -> str:
@@ -212,9 +221,8 @@ def _example_interesting() -> SurfaceModel:
 
 
 def _example_interesting_base() -> SurfaceModel:
-    return dataclasses.replace(
-        _del_pezzo(1), metadata={"family": "del-pezzo", "r": "1",
-                                 "default_point": "on-E-tangent"})
+    return _del_pezzo(1)._replace(metadata={
+        "family": "del-pezzo", "r": "1", "default_point": "on-E-tangent"})
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import scalars, zariski
 from .errors import (
@@ -50,8 +49,7 @@ def _ev(f: Affine, t) -> ExactScalar:
     return f[0] + f[1] * t
 
 
-@dataclass(frozen=True)
-class PolygonPiece:
+class PolygonPiece(NamedTuple):
     t_lo: Fraction
     t_hi: ExactScalar
     alpha: Affine
@@ -59,13 +57,16 @@ class PolygonPiece:
     support: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NOPolygon:
+class _PolygonFields(NamedTuple):
+    """The fields; :class:`NOPolygon` adds the cached vertices."""
+
     nu: Fraction
     mu: ExactScalar
     pieces: tuple[PolygonPiece, ...]
     flag_curve: str
 
+
+class NOPolygon(_PolygonFields):
     @functools.cached_property
     def vertices(self) -> tuple[Point, ...]:
         """The vertex cycle, computed on first read."""
@@ -113,8 +114,7 @@ def _transition(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     return chamber
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """The chamber walk of D along the flag curve C, for every point of C."""
 
     nu: Fraction

@@ -209,11 +209,12 @@ def quad(a, b, d) -> ExactScalar:
         raise NoRealRoot(f"negative radicand {d}")
     if b == 0 or d == 0:
         return a
-    # sqrt(p/q) = sqrt(p*q)/q
+    # sqrt(p/q) = sqrt(p*q)/q; a perfect square needs no factoring
     n = d.numerator * d.denominator
-    s, m = _square_free(n)
-    if m == 1:
+    s = math.isqrt(n)
+    if s * s == n:
         return a + b * Fraction(s, d.denominator)
+    s, m = _square_free(n)
     return Quad(a, b * Fraction(s, d.denominator), m)
 
 

@@ -8,9 +8,8 @@ use them, so the generic-point bound and the free multiple load neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidQuery, MissingCanonical, NonIntegralInput, NotAmple, NotNef
 from .lattice import (
@@ -72,8 +71,7 @@ def largest_simplex_search(model: SurfaceModel, a: Sequence,
     return max(largest_simplex_flag(model, a, c, p) for c, p in flags)
 
 
-@dataclass(frozen=True)
-class GenericBoundQuery:
+class GenericBoundQuery(NamedTuple):
     degree: Fraction          # (A^2)
     target: Fraction          # tau: certify epsilon >= min(tau, sqrt(deg))
     exclude_q1: bool = False  # geometric input ruling out multiplicity-one
@@ -81,8 +79,7 @@ class GenericBoundQuery:
     #                           general point (e.g. non-uniruledness)
 
 
-@dataclass(frozen=True)
-class GenericBoundResult:
+class GenericBoundResult(NamedTuple):
     holds: bool
     witnesses: tuple[tuple[int, int], ...]
     q_range: tuple[int, int]

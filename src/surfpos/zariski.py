@@ -22,7 +22,6 @@ caller of the chamber reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 from typing import NamedTuple, Optional, Sequence
@@ -44,8 +43,7 @@ from .lattice import (
 from .scalars import solve_negative_definite, vector
 
 
-@dataclass(frozen=True)
-class ZariskiPair:
+class ZariskiPair(NamedTuple):
     P: DivisorClass
     N_coeffs: dict[str, Fraction]
     support: tuple[str, ...]
@@ -58,8 +56,7 @@ class ZariskiPair:
         return n
 
 
-@dataclass(frozen=True)
-class LocusReport:
+class LocusReport(NamedTuple):
     null_curves: frozenset[str]
     neg_curves: frozenset[str]
     relative: bool = False

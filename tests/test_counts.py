@@ -9,7 +9,6 @@ table."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -169,8 +168,8 @@ def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
     from one blow-up and one walk."""
     m = sp.builtin("bl2p2")
     path = tmp_path / "model.json"
-    models.save(dataclasses.replace(
-        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+    models.save(m._replace(
+        curves=tuple(c for c in m.curves if c.name != "L12"),
         completeness_declared=False), path)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -212,7 +211,7 @@ def validations(monkeypatch):
 @pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri, sp.mu_prime])
 def test_second_query_at_a_point_builds_no_blow_up(validations, query):
     # builtin models are shared; a new instance starts with no blow-ups
-    m = dataclasses.replace(sp.builtin("bl3p2"))
+    m = sp.builtin("bl3p2")._replace()
     x = BlowupSpec(mults={"L12": 1})
     first = query(m, anti_canonical(m), x)
     assert validations == {"validate": 1}

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ def test_blow_up_names_members_of_families_with_one_hint_apart():
     """P1 x P1 with both rulings as families named "f": each acquires a
     member through the point, and the two members get distinct names."""
     m = sp.builtin("hirzebruch-0")
-    two = dataclasses.replace(m, generic_families=(
+    two = m._replace(generic_families=(
         GenericFamily(cls=(0, 1), mult=1, name_hint="f"),
         GenericFamily(cls=(1, 0), mult=1, name_hint="f")))
     bm, _, exc = blow_up(two)
@@ -118,8 +117,8 @@ def test_blow_up_pulls_back_declared_generators():
     its own curves, so a pulled-back class is big exactly when the base
     class is."""
     m = sp.builtin("bl2p2")
-    base = dataclasses.replace(
-        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+    base = m._replace(
+        curves=tuple(c for c in m.curves if c.name != "L12"),
         effective_generators=tuple(m.curve_class(c.name) for c in m.curves))
     bm, pb, exc = blow_up(base, BlowupSpec(mults={"E2": 1}))
     assert bm.effective_generators == (
@@ -164,7 +163,7 @@ def test_blow_up_specs_that_differ_build_their_own(change):
     b1 = sp.builtin("bl1p2")
     plain = BlowupSpec(mults={"E": 1})
     bm = blow_up(b1, plain)[0]
-    other = blow_up(b1, dataclasses.replace(plain, **change))[0]
+    other = blow_up(b1, plain._replace(**change))[0]
     assert other is not bm and other != bm
     assert blow_up(b1, plain)[0] is bm
 
@@ -200,7 +199,7 @@ def test_model_with_blow_ups_pickles_copies_and_saves_as_before(tmp_path):
     sp.save(m, tmp_path / "after.json")
     assert (tmp_path / "after.json").read_text() == \
         (tmp_path / "before.json").read_text()
-    assert m == dataclasses.replace(m)
+    assert m == m._replace()
     for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m),
                  copy.copy(m)):
         assert twin == m
@@ -247,8 +246,8 @@ def test_mu_prime_on_an_incomplete_base_decides_bigness_on_the_blow_up():
     With L12 missing from bl2p2's list, L12 + A/3 is not big on the base,
     but its pullback is big on the blow-up, which knows the curve again."""
     m = sp.builtin("bl2p2")
-    cut = dataclasses.replace(
-        m, curves=tuple(c for c in m.curves if c.name != "L12"),
+    cut = m._replace(
+        curves=tuple(c for c in m.curves if c.name != "L12"),
         completeness_declared=False)
     d = tuple(a + Fraction(1, 3) * b
               for a, b in zip(m.curve_class("L12"), m.ample_ref))

@@ -44,6 +44,19 @@ def cli_loads(*argv: str) -> tuple[int, set[str]]:
     return doc["code"], set(doc["modules"])
 
 
+def test_cold_imports_load_no_dataclasses_or_inspect():
+    """Records are NamedTuples, so neither the CLI nor a computing module
+    loads ``dataclasses`` or, behind it, ``inspect``, ``ast`` and ``dis``."""
+    new = set(loaded(
+        "import json, sys\n"
+        "bare = set(sys.modules)\n"
+        "import surfpos.cli\n"
+        "from surfpos import zariski, okounkov, infinitesimal, seshadri\n"
+        "print(json.dumps(sorted(set(sys.modules) - bare)))"))
+    assert "surfpos.seshadri" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def test_import_package_loads_no_submodule():
     doc = loaded("import json, sys, surfpos; print(json.dumps(sorted("
                  "m for m in sys.modules if m.startswith('surfpos'))))")

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,6 +9,8 @@ from surfpos.errors import InvariantViolation, SchemaError, UnknownModel
 from surfpos.infinitesimal import blow_up
 from surfpos.models import (
     BUILTIN_NAMES,
+    _distinct_permutations,
+    _minus_one_classes,
     builtin,
     dumps_model,
     enumerate_minus_one_curves,
@@ -30,6 +32,39 @@ def test_minus_one_curve_counts():
         assert len(set(curves)) == n
 
 
+def _minus_one_by_permutation_sets(r):
+    """The enumeration as first written: every ordering of each sorted
+    multiplicity vector, deduplicated through a set."""
+    found = [tuple([0] + [int(j == i) for j in range(r)]) for i in range(r)]
+    for a in range(1, 7):
+        def parts(remaining, remaining_sq, slots, bound, prefix):
+            if remaining == 0 and remaining_sq == 0:
+                yield prefix + [0] * slots
+                return
+            if slots == 0 or remaining < 0 or remaining_sq < 0:
+                return
+            if remaining > bound * slots or remaining_sq > bound * bound * slots:
+                return
+            for b in range(min(bound, remaining), 0, -1):
+                yield from parts(remaining - b, remaining_sq - b * b,
+                                 slots - 1, b, prefix + [b])
+        for base in parts(3 * a - 1, a * a + 1, r, a, []):
+            for perm in set(itertools.permutations(base)):
+                found.append((a,) + tuple(-x for x in perm))
+    return tuple(sorted(found))
+
+
+def test_minus_one_enumeration_matches_permutation_sets():
+    for r, n in EXPECTED_COUNTS.items():
+        assert _minus_one_classes(r) == _minus_one_by_permutation_sets(r)
+        assert len(_minus_one_classes(r)) == n
+    for items in [(), (0,), (2, 1, 1, 0, 0, 0), (3, 3, 2, 2, 2, 1, 1, 0),
+                  (1, 1, 1, 1)]:
+        got = list(_distinct_permutations(items))
+        assert len(got) == len(set(got))
+        assert set(got) == set(itertools.permutations(items))
+
+
 def test_minus_one_curves_are_minus_one():
     # independent arithmetic check on every class: self-intersection -1
     # and anticanonical degree 1 in the standard diagonal form
@@ -46,9 +81,9 @@ def test_minus_one_curves_are_minus_one():
 
 
 def _with_curve(model, name, cls, self_int):
-    curves = tuple(dataclasses.replace(c, cls=cls, self_int=self_int)
+    curves = tuple(c._replace(cls=cls, self_int=self_int)
                    if c.name == name else c for c in model.curves)
-    return dataclasses.replace(model, curves=curves)
+    return model._replace(curves=curves)
 
 
 def test_validate_model_rejects_non_integer_entries():
@@ -57,7 +92,7 @@ def test_validate_model_rejects_non_integer_entries():
     b1 = builtin("bl1p2")
     half = Fraction(1, 2)
     bad = [
-        ("gram integral", dataclasses.replace(b1, gram=tuple(
+        ("gram integral", b1._replace(gram=tuple(
             tuple(map(Fraction, row)) for row in b1.gram))),
         # (1/2, 1/2) has square 0 and pairs positively with the ample class
         ("curve integral", _with_curve(b1, "F", (half, half), 0)),

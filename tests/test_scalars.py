@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,24 @@ def test_quad_normalizes_to_rational():
     assert quad(1, 2, 0) == Fraction(1)
     assert quad(0, 1, Fraction(9, 4)) == Fraction(3, 2)
     assert quad(1, 2, 4) == Fraction(5)
+
+
+def test_quad_perfect_square_needs_no_factoring():
+    # k is a 41-digit prime: trial division of k^2 would run for ages,
+    # so the alarm fails the test unless isqrt settles the square first
+    k = 10**40 + 121
+
+    def expired(signum, frame):
+        raise TimeoutError("quad factored a perfect square")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert quad(0, 1, k * k) == Fraction(k)
+        assert quad(1, 3, Fraction(k * k, 4)) == 1 + Fraction(3 * k, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_quad_squarefree_radicand():
