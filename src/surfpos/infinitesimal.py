@@ -36,6 +36,7 @@ from .lattice import (
     InfFlagSpec,
     PointSpec,
     SurfaceModel,
+    check_multiplicity,
     int_pairing,
     validate_model,
 )
@@ -105,6 +106,8 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
                     raise InconsistentMultiplicities(
                         f"{n1} and {n2} cannot both have these "
                         f"multiplicities at one point")
+    for n, m in listed.items():
+        check_multiplicity(model, n, m)
     taken = set(model.basis_labels) | {c.name for c in model.curves}
     taken |= {spec.renames.get(c.name, c.name) for c in model.curves}
     taken |= {n for n, _ in spec.extra_curves}

@@ -15,7 +15,10 @@ the row gram . C of each listed curve C, built on first use and read by
 :meth:`SurfaceModel.curve_pairings` and :meth:`SurfaceModel.meet`, which
 return Fractions, and by :meth:`SurfaceModel.curve_dots`, which pairs an
 integer vector and returns integers.  :func:`pairing` pairs two arbitrary
-classes, and :func:`int_pairing` two integer vectors.
+classes, and :func:`int_pairing` two integer vectors.  A model also keeps
+the integer row gram . A of its ample reference when that row pairs
+non-negatively with every effective generator: a class it pairs
+negatively with is not pseudo-effective.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from . import scalars
 from .errors import (
     DimensionMismatch,
+    InconsistentMultiplicities,
     InvariantViolation,
     NotFullDimensional,
 )
@@ -190,17 +194,35 @@ class SurfaceModel(_ModelFields):
                 f"expected {self.rank} coordinates, got {len(v)}")
         return v
 
+    def _generator_classes(self) -> Sequence[Sequence]:
+        """The declared generators, or else the listed curve classes, as
+        they are stored: the curve classes are integer tuples."""
+        if self.effective_generators is None:
+            return [c.cls for c in self.curves]
+        return self.effective_generators
+
     @cached_property
     def _effective_gens(self) -> _Generators:
-        gens = self.effective_generators
-        if gens is None:
-            gens = (c.cls for c in self.curves)
-        return _Generators(vector(g) for g in gens)
+        return _Generators(vector(g) for g in self._generator_classes())
 
     def effective_gens(self) -> tuple[DivisorClass, ...]:
         """The declared generators, or else the listed curve classes, as
         Fraction vectors built once per model."""
         return self._effective_gens
+
+    @cached_property
+    def _ample_row(self) -> Optional[tuple[int, ...]]:
+        """The integer row w = gram . A, for A the ample reference scaled
+        to integers, when w . g >= 0 for every effective generator g, else
+        None.  Then w pairs non-negatively with the whole effective cone,
+        so w . d < 0 certifies that d lies outside it (Farkas).  Listed
+        curves are paired on integers, so that a model of a few hundred
+        curves pays well under a millisecond for the row."""
+        num = scaled(self.ample_ref)[0]
+        w = tuple(sum(map(mul, row, num)) for row in self.gram)
+        if all(sum(map(mul, w, g)) >= 0 for g in self._generator_classes()):
+            return w
+        return None
 
     def gram_submatrix(self, names: Sequence[str]
                        ) -> tuple[tuple[int, ...], ...]:
@@ -300,6 +322,10 @@ def validate_point(model: SurfaceModel, p: PointSpec) -> None:
     if not model.has_curve(p.on_curve):
         raise InvariantViolation("point spec",
                                  f"unknown flag curve {p.on_curve!r}")
+    # local_mults are intersection numbers with the flag curve, which bound
+    # no multiplicity from above; x has multiplicity at least 1 on the flag
+    # curve and on every curve that meets it there
+    check_multiplicity(model, p.on_curve, 1)
     for n, m in p.local_mults.items():
         if m < 0 or not model.has_curve(n):
             raise InvariantViolation("point spec",
@@ -307,6 +333,21 @@ def validate_point(model: SurfaceModel, p: PointSpec) -> None:
         if n != p.on_curve and m > model.meet(n, p.on_curve):
             raise InvariantViolation(
                 "point spec", f"local mult of {n} exceeds global intersection")
+        if m > 0:
+            check_multiplicity(model, n, 1)
+
+
+def check_multiplicity(model: SurfaceModel, name: str, m: int) -> None:
+    """Raise InconsistentMultiplicities unless a point of the listed curve
+    ``name`` can have multiplicity m on it.  By adjunction, a point of
+    multiplicity m on an irreducible curve C needs m(m-1)/2 <= p_a(C), that
+    is m(m-1) <= C^2 + K.C + 2; without K nothing is checked."""
+    if model.canonical is None:
+        return
+    c, row = model._curve_table[name]
+    if m * (m - 1) > c.self_int + sum(map(mul, row, model.canonical)) + 2:
+        raise InconsistentMultiplicities(
+            f"no point of {name} has multiplicity {m}")
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,13 @@ curve; each is crossed by the decomposition fixpoint run on D - sC just
 past it (:func:`surfpos.zariski.chamber`).  The walk ends where (P_t)^2
 vanishes, the only breakpoint that may be a quadratic irrational.  It
 reads the candidate walls and that quadratic off the chamber's integer
-data.  The walk depends on D and C only and x enters only through alpha,
-so one walk serves every point of C.  The polygon is convex, so a simplex
-lies inside it exactly when its vertices do: lambda and xi are read off
-the boundary at those vertices, from the pieces alone.  A
-:class:`NOPolygon` computes its vertex cycle when it is first read.
+data, decides on rationals whether the quadratic vanishes before the next
+wall, and takes its root only in the chamber where it ends.  The walk
+depends on D and C only and x enters only through alpha, so one walk
+serves every point of C.  The polygon is convex, so a simplex lies inside
+it exactly when its vertices do: lambda and xi are read off the boundary
+at those vertices, from the pieces alone.  A :class:`NOPolygon` computes
+its vertex cycle when it is first read.
 """
 
 from __future__ import annotations
@@ -162,23 +164,22 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     for _ in range(guard):
         next_wall = _next_wall(chamber, t0)
         p0, p1 = chamber.p
-        mu_candidate: Optional[ExactScalar]
-        try:
-            # (P_t)^2 as a quadratic in t, times den^2
-            mu_candidate = positive_quadratic_root(
-                int_pairing(model, p1, p1), 2 * int_pairing(model, p0, p1),
-                int_pairing(model, p0, p0), t0)
-        except NoRealRoot:
-            mu_candidate = None
-        blen = chamber.curve_pairing(flag_curve)
-        if mu_candidate is not None and (next_wall is None
-                                         or mu_candidate <= next_wall):
-            pieces.append((t0, mu_candidate, chamber.coeffs, blen))
-            mu = mu_candidate
-            break
-        if next_wall is None:
+        # (P_t)^2 as a quadratic in t, times den^2
+        q = (int_pairing(model, p1, p1), 2 * int_pairing(model, p0, p1),
+             int_pairing(model, p0, p0))
+        if _sign_at(q, t0) <= 0:
             raise ModelInconsistency(
-                "chamber walk found neither a wall nor a volume root")
+                f"volume not positive at t={t0} inside the walk")
+        blen = chamber.curve_pairing(flag_curve)
+        if next_wall is None or _root_before(q, t0, next_wall):
+            try:
+                mu = positive_quadratic_root(*q, t0)
+            except NoRealRoot:
+                raise ModelInconsistency(
+                    "chamber walk found neither a wall nor a volume "
+                    "root") from None
+            pieces.append((t0, mu, chamber.coeffs, blen))
+            break
         pieces.append((t0, next_wall, chamber.coeffs, blen))
         support = chamber.support
         chamber = _transition(model, d, flag_curve, support, next_wall)
@@ -188,6 +189,26 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     else:
         raise ModelInconsistency("chamber walk did not terminate")
     return Walk(nu=nu, mu=mu, flag_curve=flag_curve, pieces=tuple(pieces))
+
+
+def _sign_at(q: tuple[int, int, int], t: Fraction) -> int:
+    """The sign of q(t) = q[0]*t^2 + q[1]*t + q[2], on integers."""
+    a, b = t.numerator, t.denominator
+    v = q[0] * a * a + q[1] * a * b + q[2] * b * b
+    return (v > 0) - (v < 0)
+
+
+def _root_before(q: tuple[int, int, int], t0: Fraction,
+                 wall: Fraction) -> bool:
+    """Whether q, positive at t0, has a root in [t0, wall], decided on
+    rationals: q(wall) <= 0, or q is convex with its vertex -q[1]/(2q[0])
+    in [t0, wall] and a discriminant >= 0."""
+    if _sign_at(q, wall) <= 0:
+        return True
+    c2, c1, c0 = q
+    return (c2 > 0 and 2 * c2 * t0.numerator <= -c1 * t0.denominator
+            and -c1 * wall.denominator <= 2 * c2 * wall.numerator
+            and c1 * c1 >= 4 * c2 * c0)
 
 
 def _next_wall(chamber: zariski.Chamber, t0: Fraction) -> Optional[Fraction]:

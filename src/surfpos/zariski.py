@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import starmap
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
@@ -40,7 +41,7 @@ from .lattice import (
     pairing,
     self_intersection,
 )
-from .scalars import solve_negative_definite, vector
+from .scalars import scaled, solve_negative_definite, vector
 
 
 class ZariskiPair(NamedTuple):
@@ -63,7 +64,14 @@ class LocusReport(NamedTuple):
 
 
 def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
-    return cone_contains(model.effective_gens(), model.divisor(d))
+    """Whether d lies in the effective cone.  A class that the model's
+    ample row pairs negatively with is refused by that certificate, on
+    integers; every other class is decided by the LP."""
+    d = model.divisor(d)
+    w = model._ample_row
+    if w is not None and sum(map(mul, w, scaled(d)[0])) < 0:
+        return False
+    return cone_contains(model.effective_gens(), d)
 
 
 class Chamber(NamedTuple):

@@ -19,7 +19,7 @@ import pytest
 import surfpos as sp
 from surfpos import infinitesimal, lattice, models, okounkov, seshadri, zariski
 from surfpos.cli import main
-from surfpos.errors import NotBig
+from surfpos.errors import NotBig, NotPseudoEffective
 from surfpos.infinitesimal import BlowupSpec
 from surfpos.lattice import PointSpec
 
@@ -117,6 +117,27 @@ def test_polygon_runs_one_lp_and_one_fixpoint(counts):
 def test_is_big_runs_one_lp(counts):
     m = sp.builtin("bl3p2")
     assert sp.is_big(m, anti_canonical(m))
+    assert counts["lp"] == 1
+
+
+def test_ample_row_refuses_a_class_without_an_lp(counts):
+    """D.A < 0 for the ample reference A of bl7p2: D is not
+    pseudo-effective, and no LP runs to say so."""
+    m = sp.builtin("bl7p2")
+    d = m.divisor([-1] + [0] * 7)
+    with pytest.raises(NotPseudoEffective) as err:
+        sp.zariski_decompose(m, d)
+    assert str(err.value) == \
+        "(-1, 0, 0, 0, 0, 0, 0, 0) is not in the effective cone"
+    assert not sp.is_big(m, d)
+    assert counts == {"lp": 0, "fixpoint": 0}
+
+
+def test_class_the_ample_row_cannot_refuse_runs_one_lp(counts):
+    """H - 2E1 pairs positively with A but negatively with the nef class
+    H - E1: not pseudo-effective, and only the LP says so."""
+    m = sp.builtin("bl7p2")
+    assert not zariski.is_pseudo_effective(m, m.divisor([1, -2] + [0] * 6))
     assert counts["lp"] == 1
 
 

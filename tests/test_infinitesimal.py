@@ -90,6 +90,25 @@ def test_blow_up_inconsistent_mults():
         blow_up(b1, BlowupSpec(mults={"E": 1, "F": 2}))
 
 
+def test_blow_up_refuses_multiplicities_no_point_has():
+    """Adjunction: a point of multiplicity m on a curve C needs
+    m(m-1) <= C^2 + K.C + 2.  That is 0 for the smooth rational E1 of
+    bl2p2, and 2 for a cubic on p2, which may have a node."""
+    bl2 = sp.builtin("bl2p2")
+    for mult in (2, 3, 10**17):
+        with pytest.raises(InconsistentMultiplicities,
+                           match=f"no point of E1 has multiplicity {mult}$"):
+            blow_up(bl2, BlowupSpec(mults={"E1": mult}))
+    assert blow_up(bl2, BlowupSpec(mults={"E1": 1}))[2] == "E3"
+    p2 = sp.builtin("p2")
+    cubic = p2._replace(curves=p2.curves + (
+        sp.CurveRecord(name="C", cls=(3,), self_int=9),))
+    assert blow_up(cubic, BlowupSpec(mults={"C": 2}))[0].curve("C").cls \
+        == (3, -2)
+    with pytest.raises(InconsistentMultiplicities):
+        blow_up(cubic, BlowupSpec(mults={"C": 3}))
+
+
 def test_blow_up_rejects_non_integral_input():
     """A non-integral extra class or multiplicity is an error, even when
     truncating it would give an integral self-intersection."""

@@ -7,9 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
-from surfpos.errors import DimensionMismatch, NotFullDimensional
+from surfpos.errors import (
+    DimensionMismatch,
+    InconsistentMultiplicities,
+    NotFullDimensional,
+)
 from surfpos.infinitesimal import point_on_exceptional_spec
-from surfpos.lattice import cone_contains, dual_cone, pairing
+from surfpos.lattice import (
+    CurveRecord,
+    PointSpec,
+    cone_contains,
+    dual_cone,
+    pairing,
+    validate_point,
+)
 from surfpos.models import BUILTIN_NAMES
 
 from conftest import MATRIX_MODELS, seeded_rng
@@ -245,3 +256,20 @@ def test_integer_pairing_agrees_with_fraction_sum(data):
     assert value == fraction_pairing(model, d1, d2)
     with pytest.raises(DimensionMismatch):
         pairing(model, d1 + (Fraction(1, 2),), d2)
+
+
+def test_validate_point_needs_a_curve_of_non_negative_genus():
+    """A point lies on its flag curve and on every curve with a positive
+    local intersection there, with multiplicity at least 1, which needs
+    p_a >= 0: C^2 + K.C + 2 >= 0.  The record D of class 2E on bl1p2 has
+    -4 - 2 + 2 = -4, so no point lies on an irreducible curve of that
+    class."""
+    b1 = sp.builtin("bl1p2")
+    m = b1._replace(curves=b1.curves + (
+        CurveRecord(name="D", cls=(0, 2), self_int=-4),))
+    validate_point(m, PointSpec(on_curve="F", local_mults={"E": 1}))
+    for p in (PointSpec(on_curve="D"),
+              PointSpec(on_curve="F", local_mults={"D": 1})):
+        with pytest.raises(InconsistentMultiplicities,
+                           match="no point of D has multiplicity 1"):
+            validate_point(m, p)

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,36 @@ def test_irrational_mu_on_relative_model():
     assert largest_simplex(poly) == mu
     lo, hi = vertical_slice(poly, mu)
     assert (lo, hi) == (Fraction(0), 1 + mu)
+
+
+SCALED_FLAGS = [((3, -1, -1, -1), "E1"), ((3, -1, -1, 0), "L12"),
+                ((5, -2, -1, -1), "E2"), ((4, -1, -2, -2), "L"),
+                ((2, -1, 0, 0), "L23")]
+
+
+@pytest.mark.parametrize("k", [10**9 + 7, 10**40 + 121])
+@pytest.mark.parametrize("cls, flag", SCALED_FLAGS)
+def test_polygon_of_a_multiple_is_the_multiple_polygon(cls, flag, k):
+    """Delta(kD) = k Delta(D) on bl3p2 at a generic point of the flag, for
+    k a large prime.  The discriminants of the volume quadratics grow like
+    k^2, so the alarm fails the test if the walk factors one that is not a
+    perfect square to compare the volume root with a wall."""
+    m = sp.builtin("bl3p2")
+    point = PointSpec(on_curve=flag, generic=True)
+    poly = okounkov_polygon(m, cls, flag, point)
+
+    def expired(signum, frame):
+        raise TimeoutError(f"polygon of {k}*{cls} ran past the alarm")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        scaled = okounkov_polygon(m, [k * x for x in cls], flag, point)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert scaled.nu == k * poly.nu and scaled.mu == k * poly.mu
+    assert set(scaled.vertices) == {(k * t, k * y) for t, y in poly.vertices}
 
 
 def test_vertical_slice_example():

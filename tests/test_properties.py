@@ -20,7 +20,9 @@ curve in the direction of the curve (tangent).  The properties:
   definiteness with solving) agrees with ``sympy.Matrix``;
 - the Hodge index check of ``lattice.validate_model`` accepts a form
   exactly when its inertia is (1, rho-1, 0), by Descartes' rule of signs
-  on the characteristic polynomial.
+  on the characteristic polynomial;
+- the pseudo-effectivity verdict, which may refuse a class by the ample
+  row before the LP, equals the LP's.
 
 The walk, xi and pulled-back properties need every negative curve
 listed, so they run on the models whose curve list is declared complete.
@@ -55,10 +57,16 @@ from surfpos.infinitesimal import (
     exceptional_directions,
     point_on_exceptional_spec,
 )
-from surfpos.lattice import PointSpec, SurfaceModel, pairing, validate_model
+from surfpos.lattice import (
+    PointSpec,
+    SurfaceModel,
+    cone_contains,
+    pairing,
+    validate_model,
+)
 from surfpos.zariski import neg_curves_through
 
-from conftest import assert_breakpoint_oracle
+from conftest import MATRIX_MODELS, assert_breakpoint_oracle
 
 BASES = (["p2"] + [f"bl{r}p2" for r in range(1, 6)]
          + [f"hirzebruch-{n}" for n in range(7)] + ["example-interesting"])
@@ -323,6 +331,51 @@ def test_chamber_pairings_are_those_of_its_positive_part(data):
             cls = model.curve_class(name)
             assert [Fraction(x, ch.den) for x in ints] == [
                 pairing(model, v, cls) for v in p]
+
+
+def certificate_model(base: str, kind: str) -> SurfaceModel:
+    """A base or blow-up of :func:`model_of`, or bl1p2 with its curve
+    classes declared as generators: with its ample reference, or with
+    A = 2H + E, which pairs negatively with the declared generator E."""
+    if kind not in ("declared", "declared-negative"):
+        return model_of(base, kind)
+    model = sp.builtin(base)
+    model = model._replace(effective_generators=model.effective_gens())
+    if kind == "declared-negative":
+        model = model._replace(ample_ref=model.divisor((2, 1)),
+                               ample_ref_is_ample=False)
+    return model
+
+
+CERTIFICATE_MODELS = ([(b, k) for b in MATRIX_MODELS for k in KINDS]
+                      + [("bl1p2", "declared"),
+                         ("bl1p2", "declared-negative")])
+
+
+@pytest.mark.parametrize("which", CERTIFICATE_MODELS,
+                         ids=["-".join(w) for w in CERTIFICATE_MODELS])
+@settings(SETTINGS, max_examples=10)
+@given(st.data(), st.sampled_from((-1, 0, 1)))
+def test_pseudo_effectivity_verdict_equals_the_lp(which, data, sign):
+    """The verdict of ``zariski.is_pseudo_effective``, which refuses a
+    class the model's ample row pairs negatively with before any LP, equals
+    the LP's, on classes d with d.A < 0, = 0 and > 0.  Every model keeps
+    the row, except the one whose declared generator pairs negatively
+    with A."""
+    model = certificate_model(*which)
+    assert (model._ample_row is None) == (which[1] == "declared-negative")
+    a = model.ample_ref
+    raw = [data.draw(st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=3))
+           for _ in range(model.rank)]
+    # project onto A-perp, then move along A to the drawn side
+    t = sign * data.draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                      max_denominator=4))
+    c = t - pairing(model, raw, a) / pairing(model, a, a)
+    d = model.divisor([x + c * y for x, y in zip(raw, a)])
+    assert (pairing(model, d, a) > 0) - (pairing(model, d, a) < 0) == sign
+    assert zariski.is_pseudo_effective(model, d) == \
+        cone_contains(model.effective_gens(), d)
 
 
 @st.composite

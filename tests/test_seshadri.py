@@ -261,3 +261,35 @@ def test_seshadri_equals_xi_with_irrational_cap_guard():
     eps = seshadri_direct(b1, (2, -1))
     assert eps == 1  # cap sqrt(3) does not bind
     assert quad(0, 1, 3) > eps
+
+
+# Broustet (2006): at a point x on no (-1)-curve of a del Pezzo surface
+# bl_r p2 (for r = 7 also off the ramification curve of the anticanonical
+# double cover), epsilon(-K, x) is 2 for 1 <= r <= 5, 3/2 for r = 6 and
+# 4/3 for r = 7; it is 3 on p2 and 2 on P1 x P1.  The generic point of a
+# model is such a point: its blow-up lists the (-1)-curves of a surface
+# blown up at r + 1 general points.  The witness is the curve of the
+# blow-up, class C - m*E, that attains the constant: -K.C / m.
+ANTICANONICAL_SESHADRI = [
+    ("p2", Fraction(3), (1, -1)),
+    *((f"bl{r}p2", Fraction(2), (1, -1) + (0,) * (r - 1) + (-1,))
+      for r in range(1, 6)),
+    ("bl6p2", Fraction(3, 2), (3,) + (-1,) * 6 + (-2,)),
+    ("bl7p2", Fraction(4, 3), (6,) + (-2,) * 7 + (-3,)),
+    ("hirzebruch-0", Fraction(2), (0, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("name, value, witness", ANTICANONICAL_SESHADRI,
+                         ids=[c[0] for c in ANTICANONICAL_SESHADRI])
+def test_anticanonical_seshadri_constants_at_the_generic_point(
+        name, value, witness):
+    m = sp.builtin(name)
+    k = m.divisor([-x for x in m.canonical])
+    *base, e = witness
+    assert pairing(m, k, base) / -e == value
+    bm = sp.blow_up(m)[0]
+    assert witness in {c.cls for c in bm.curves}
+    assert seshadri_direct(m, k) == value
+    res = sp.moving_seshadri(m, k)
+    assert res.status is sp.SeshadriStatus.POSITIVE and res.value == value
