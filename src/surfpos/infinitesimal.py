@@ -200,6 +200,9 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
         metadata=metadata,
     )
     validate_model(new_model)
+    # a declared extra curve stands for an irreducible curve: p_a >= 0
+    for name, _ in spec.extra_curves:
+        check_multiplicity(new_model, name, 1)
     return new_model, _pullback, exc
 
 

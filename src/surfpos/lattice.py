@@ -354,11 +354,35 @@ def check_multiplicity(model: SurfaceModel, name: str, m: int) -> None:
 # exact LP feasibility: membership in a finitely generated cone
 # ----------------------------------------------------------------------
 
+def _pivot(tab: list, obj: list, piv: int, enter: int) -> None:
+    """Pivot the tableau rows and the objective row on tab[piv][enter], in
+    place."""
+    pr = tab[piv]
+    inv = 1 / pr[enter]
+    pr = tab[piv] = [x * inv for x in pr]
+    for i, row in enumerate(tab):
+        f = row[enter]
+        if i != piv and f != 0:
+            tab[i] = [x - f * y for x, y in zip(row, pr)]
+    f = obj[enter]
+    obj[:] = [x - f * y for x, y in zip(obj, pr)]
+
+
 def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
     """True iff v is a non-negative rational combination of the generators.
 
-    Phase-one simplex with Bland's rule over exact rationals; the systems
-    here are tiny (rank <= 9, a few hundred generators at most).
+    Phase-one simplex over exact rationals; the systems here are tiny
+    (rank <= 9, a few hundred generators at most).  The entering column is
+    the one of largest reduced cost (Dantzig, *Linear Programming and
+    Extensions*, 1963), ties to the smallest index, and the leaving row
+    the one of least ratio, ties to the smallest basic index.  After a
+    degenerate pivot (ratio 0) the first improving column enters instead,
+    until the next non-degenerate pivot: both choices are then Bland's
+    rule (Bland, *New finite pivoting rules for the simplex method*,
+    1977), which cannot cycle.  Each non-degenerate pivot strictly lowers
+    the phase-one objective, so no basis repeats and the simplex
+    terminates.  The order of the generators then sets the pivots only
+    through ties and degenerate pivots.
     """
     gens = generators if isinstance(generators, _Generators) \
         else [vector(g) for g in generators]
@@ -390,10 +414,17 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
     for i in range(m):
         for j in range(width + 1):
             obj[j] += tab[i][j]
+    # obj[j] is the reduced cost of column j < n, exactly 0 while j is
+    # basic; artificial columns never re-enter
+    cols = range(n)
+    bland = False
     while True:
-        # Bland's rule; artificial columns never re-enter
-        enter = next((j for j in range(n)
-                      if j not in basis and obj[j] > 0), None)
+        if bland:
+            enter = next((j for j in cols if obj[j] > 0), None)
+        else:
+            enter = max(cols, key=obj.__getitem__)
+            if obj[enter] <= 0:
+                enter = None
         if enter is None:
             break
         best = None
@@ -405,17 +436,10 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
                     best = (ratio, i)
         if best is None:
             break  # unbounded cannot happen in phase 1, defensive
-        _, piv = best
-        pr = tab[piv]
-        inv = 1 / pr[enter]
-        tab[piv] = [x * inv for x in pr]
-        for i in range(m):
-            if i != piv and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
-        f = obj[enter]
-        obj = [x - f * y for x, y in zip(obj, tab[piv])]
+        ratio, piv = best
+        _pivot(tab, obj, piv, enter)
         basis[piv] = enter
+        bland = ratio == 0
     return obj[width] == 0
 
 

@@ -14,6 +14,7 @@ definiteness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -23,6 +24,7 @@ from .errors import (
     MixedRadicands,
     NoRealRoot,
     NotSymmetric,
+    OutOfRange,
     SingularMatrix,
 )
 
@@ -39,27 +41,43 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
+# _square_free tries no trial divisor from here on
+_TRIAL_LIMIT = 10**7
+
+
 def _square_free(n: int) -> tuple[int, int]:
     """Write n = s^2 * m with m squarefree; return (s, m).
 
-    Trial division takes at least sqrt(p)/2 steps for the largest prime
-    factor p of n: 0.5 s for p near 10^13 on a 2-core x86 box, and about
-    half an hour for p near 10^20.  No bound on n is assumed.  The
-    chamber walk calls this at most once per walk, for an irrational
-    volume root in its last chamber: :func:`quad` answers a perfect
-    square without it, and the walk compares that root with its walls on
-    rationals.
+    Trial division by p runs only while p^3 <= n, n divided by the factors
+    found so far.  What is left then has no prime factor below p, so it is
+    1, q, q^2 or q*r for primes q != r, and one isqrt test tells the
+    square q^2 apart.  So it takes at most about cbrt(n)/2 steps, and
+    12*(10^9 + 7)^2 takes 0.09 s on a 2-core x86 box.  Trial divisors from
+    10^7 on would take about 1 s for a 70-bit n there, so it raises
+    OutOfRange instead: n then has at least three prime factors from 10^7
+    on.  The chamber walk calls this at most once per walk, for an
+    irrational volume root in its last chamber: :func:`quad` answers a
+    perfect square without it, and the walk compares that root with its
+    walls on rationals.
     """
-    s, m, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-        p += 1 if p == 2 else 2
+    s = m = 1
+    for p in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
+        if p * p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            s *= p ** (e // 2)
+            m *= p ** (e % 2)
+    else:
+        raise OutOfRange(
+            f"the square-free part of a {n.bit_length()}-bit integer "
+            f"with no prime factor below {_TRIAL_LIMIT}")
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, m
     return s, m * n
 
 

@@ -270,6 +270,12 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
       "--point"], {"mults": {"E1": 3}}),
     (["infinitesimal", "--model", "builtin:bl2p2", "--divisor", "3H-E1-E2",
       "--point"], {"mults": {"E1": 10**17}}),
+    (["infinitesimal", "--model", "builtin:bl2p2", "--divisor", "3H-E1-E2",
+      "--point"], {"mults": {"E1": 1}, "extra_curves": [
+          {"name": "T", "class": [1, -1, 0, -17 * 10**15]}]}),
+    (["moving-seshadri", "--model", "builtin:bl2p2", "--divisor", "3H-E1-E2",
+      "--point"], {"mults": {"E1": 1}, "extra_curves": [
+          {"name": "T", "class": [1, -1, 0, -17 * 10**15]}]}),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
@@ -282,14 +288,16 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
         "exceptional-name-list", "exceptional-name-7",
         "result-too-long-to-write", "model-ample-exponent",
         "point-mult-exponent", "model-r-exponent", "deg-exponent",
-        "mult-3-on-a-smooth-rational-curve", "mult-10^17"])
+        "mult-3-on-a-smooth-rational-curve", "mult-10^17",
+        "extra-curve-negative-genus", "extra-curve-negative-genus-seshadri"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
     1.5 or 0.9, in a spec or a model file, is an error, not a point of
     multiplicity 1 or 0.  A number in exponent notation is refused as it
     is read, not expanded to all its digits.  No point of the smooth
-    rational curve E1 has multiplicity 3 or 10^17 (adjunction)."""
+    rational curve E1 has multiplicity 3 or 10^17, and no curve has a class
+    of negative arithmetic genus (adjunction)."""
     if spec is not None:
         path = tmp_path / "spec.json"
         if isinstance(spec, bytes):

@@ -109,6 +109,26 @@ def test_blow_up_refuses_multiplicities_no_point_has():
         blow_up(cubic, BlowupSpec(mults={"C": 3}))
 
 
+def test_blow_up_refuses_an_extra_curve_of_negative_genus():
+    """A declared extra curve stands for an irreducible curve, so it needs
+    p_a >= 0, that is T^2 + K.T + 2 >= 0.  For T = H - E1 - N E3 on bl2p2
+    blown up at a point of E1 this is -N(N - 1), negative for N = 17*10^15.
+    The tangent line E3 = H - E - E1 of the example has p_a = 0."""
+    spec = BlowupSpec(mults={"E1": 1},
+                      extra_curves=(("T", (1, -1, 0, -17 * 10**15)),))
+    bl2 = sp.builtin("bl2p2")
+    with pytest.raises(InconsistentMultiplicities,
+                       match="no point of T has multiplicity 1$"):
+        blow_up(bl2, spec)
+    d = bl2.divisor((3, -1, -1))
+    with pytest.raises(InconsistentMultiplicities):
+        sp.moving_seshadri(bl2, d, spec)
+    with pytest.raises(InconsistentMultiplicities):
+        sp.mu_prime(bl2, d, spec)
+    bm = blow_up(sp.builtin("example-interesting-base"), EX_SPEC)[0]
+    assert bm.curve("E3").cls == (1, -1, -1)
+
+
 def test_blow_up_rejects_non_integral_input():
     """A non-integral extra class or multiplicity is an error, even when
     truncating it would give an integral self-intersection."""

@@ -1,9 +1,13 @@
+import io
+import json
 import signal
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import surfpos as sp
+from surfpos.cli import main
 from surfpos.errors import NotBig, OutOfRange
 from surfpos.lattice import PointSpec
 from surfpos.scalars import Quad
@@ -87,22 +91,26 @@ def test_mu_sup_not_big():
         sp.mu_sup(sp.builtin("example-interesting"), (1, 0, 1), "E1")
 
 
-def test_irrational_mu_on_relative_model():
-    """Catalog models have polyhedral effective cones, so their walks end
-    at rational walls; a declared-incomplete lattice with a round boundary
-    exercises the quadratic-irrational endpoint end to end."""
-    from surfpos.lattice import CurveRecord, SurfaceModel
-    from surfpos.scalars import quad
-    model = SurfaceModel(
+def relative_model():
+    """A declared-incomplete rank-2 lattice with a round boundary."""
+    return sp.SurfaceModel(
         rank=2,
         basis_labels=("H", "C"),
         gram=((2, 1), (1, -1)),
-        curves=(CurveRecord(name="C", cls=(0, 1), self_int=-1),),
+        curves=(sp.CurveRecord(name="C", cls=(0, 1), self_int=-1),),
         ample_ref=(Fraction(1), Fraction(0)),
         effective_generators=((Fraction(0), Fraction(1)),
                               (Fraction(1), Fraction(0))),
         completeness_declared=False,
         points={}, metadata={})
+
+
+def test_irrational_mu_on_relative_model():
+    """Catalog models have polyhedral effective cones, so their walks end
+    at rational walls; a declared-incomplete lattice with a round boundary
+    exercises the quadratic-irrational endpoint end to end."""
+    from surfpos.scalars import quad
+    model = relative_model()
     point = PointSpec(on_curve="C", generic=True)
     poly = okounkov_polygon(model, (1, 0), "C", point)
     mu = quad(-1, 1, 3)  # positive root of 2 - 2t - t^2
@@ -120,6 +128,46 @@ def test_irrational_mu_on_relative_model():
     assert largest_simplex(poly) == mu
     lo, hi = vertical_slice(poly, mu)
     assert (lo, hi) == (Fraction(0), 1 + mu)
+
+
+def test_irrational_mu_of_a_large_prime_multiple_on_relative_model():
+    """mu of kD, D = H, is k(-1 + sqrt(3)), a root with discriminant
+    12k^2.  For the prime k = 10^9 + 7, trial division up to the square
+    root of what is left would run past the alarm to find k^2."""
+    k = 10**9 + 7
+
+    def expired(signum, frame):
+        raise TimeoutError(f"polygon of {k}H ran past the alarm")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        poly = okounkov_polygon(relative_model(), (k, 0), "C",
+                                PointSpec(on_curve="C", generic=True))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(poly.mu, Quad)
+    assert (poly.mu.a, poly.mu.b, poly.mu.d) == (-k, k, 3)
+
+
+def test_square_free_part_out_of_reach_is_out_of_range(tmp_path,
+                                                       monkeypatch):
+    """With trial divisors below 5 only, 12k^2 is out of reach: the
+    library raises OutOfRange, and the CLI exits 1 with its JSON error."""
+    k = 10**9 + 7
+    monkeypatch.setattr(sp.scalars, "_TRIAL_LIMIT", 5)
+    with pytest.raises(OutOfRange, match="no prime factor below 5$"):
+        okounkov_polygon(relative_model(), (k, 0), "C",
+                         PointSpec(on_curve="C", generic=True))
+    path = tmp_path / "relative.json"
+    sp.models.save(relative_model(), path)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["polygon", "--model", str(path), "--divisor", f"{k}H",
+                     "--flag-curve", "C", "--point", "generic"])
+    assert code == 1
+    assert json.loads(err.getvalue())["error"] == "out-of-range"
 
 
 SCALED_FLAGS = [((3, -1, -1, -1), "E1"), ((3, -1, -1, 0), "L12"),

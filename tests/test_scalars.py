@@ -36,6 +36,36 @@ def test_quad_perfect_square_needs_no_factoring():
         signal.signal(signal.SIGALRM, previous)
 
 
+def _square_free_to_sqrt(n):
+    """The trial division _square_free ran before it stopped at cube
+    roots: every divisor p with p^2 <= n, n divided by the factors found
+    so far."""
+    s, m, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
+        p += 1 if p == 2 else 2
+    return s, m * n
+
+
+def test_square_free_matches_division_up_to_square_roots():
+    """The cofactor left at the cube root is 1, q, q^2 or q*r; the grid
+    has each, with q and r near and far from the last divisor tried."""
+    primes = (2, 3, 5, 7, 97, 101, 997, 1009, 65521, 65537)
+    grid = list(range(1, 2000))
+    grid += [p * p * q for p in primes for q in primes]
+    grid += [p * q * r for p in primes[:6] for q in primes for r in primes]
+    rng = seeded_rng("square-free")
+    grid += [rng.randrange(1, 10**9) for _ in range(200)]
+    for n in grid:
+        assert sc._square_free(n) == _square_free_to_sqrt(n), n
+
+
 def test_quad_squarefree_radicand():
     a = quad(0, 1, 8)
     b = quad(0, 2, 2)
