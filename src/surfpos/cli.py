@@ -283,24 +283,22 @@ _OPTIONS = {
 
 # subcommand: (help, its options in order)
 _COMMANDS = {
-    "zariski": ("Zariski decomposition", "model divisor json svg csv"),
-    "loci": ("null and negative loci", "model divisor json svg csv"),
+    "zariski": ("Zariski decomposition", "model divisor json"),
+    "loci": ("null and negative loci", "model divisor json"),
     "polygon": ("Newton-Okounkov polygon",
                 "model divisor flag point json svg csv"),
     "infinitesimal": ("infinitesimal polygon at a point",
                       "model divisor point y json svg csv"),
-    "seshadri": ("Seshadri constant", "model divisor point json svg csv"),
+    "seshadri": ("Seshadri constant", "model divisor point json"),
     "moving-seshadri": ("moving Seshadri constant",
-                        "model divisor point json svg csv"),
-    "lambda": ("largest simplex constant",
-               "model divisor flag point json svg csv"),
-    "nefcone": ("dual of the effective cone", "model json svg csv"),
-    "freemult": ("base-point-free multiple bound",
-                 "model divisor json svg csv"),
+                        "model divisor point json"),
+    "lambda": ("largest simplex constant", "model divisor flag point json"),
+    "nefcone": ("dual of the effective cone", "model json"),
+    "freemult": ("base-point-free multiple bound", "model divisor json"),
     "genericbound": ("very-general-point Seshadri bound",
                      "deg target exclude-q1 bare-json"),
-    "blowup": ("blow up a model at a point", "model point json svg csv"),
-    "check": ("re-run model invariants", "model json svg csv"),
+    "blowup": ("blow up a model at a point", "model point json"),
+    "check": ("re-run model invariants", "model json"),
 }
 
 

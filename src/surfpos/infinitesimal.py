@@ -6,10 +6,11 @@ curve records become strict transforms class - mult * E.  Infinitesimal
 polygons are ordinary polygons on the blow-up with respect to flags (E, y),
 and the local positivity invariants (the asymptotic multiplicity mu', the
 largest inverted simplex xi, moving Seshadri constants) are read off them.
-Each point of a model instance is blown up once.  When the base lists
-every curve of its effective cone, a walk on a blow-up takes bigness from
-the base class, which is big exactly when its pullback is, and starts
-from the pulled-back decomposition: the blow-up runs no LP or fixpoint.
+Each point of a model instance is blown up once.  A query at x decides
+once whether D is big, on the base when it lists every curve of its
+effective cone (P and N pull back, and the blow-up runs no LP or
+fixpoint), else on the blow-up, and reads every verdict at x, bigness and
+the loci, off that one decomposition of pi*D.
 """
 
 from __future__ import annotations
@@ -218,37 +219,45 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
     return PointSpec(on_curve=exc, local_mults={y.on: y.mult}, generic=False)
 
 
-def _blown_up_walk(model: SurfaceModel, d: Sequence, x: BlowupSpec,
-                   pair: Optional[zariski.ZariskiPair] = None,
-                   y: Optional[InfFlagSpec] = None
-                   ) -> tuple[SurfaceModel, str, okounkov.Walk,
-                              Optional[PointSpec],
-                              Optional[zariski.ZariskiPair]]:
-    """Blow up at x and walk the pullback of d along the exceptional curve.
+class _BlownUp(NamedTuple):
+    """x blown up for one class D: the blow-up, its exceptional curve E,
+    the flag point on E (None if no y was asked), pi*D, and its P and N."""
 
-    When the base lists every curve of its effective cone, bigness comes
-    from the base, from ``pair`` if the caller has decomposed d already:
-    the pullback keeps the volume, and a certificate d = sum b_j C_j pulls
-    back to sum b_j C~_j + (sum b_j m_j) E over curves the blow-up lists,
-    so the blow-up runs no LP, and the walk starts from the pulled-back
-    decomposition.  Otherwise the blow-up may list curves the base
-    misses, and the walk decides bigness on it.  The
-    flag point at y, if given, is resolved before bigness is decided.
-    Returns the blow-up, the exceptional curve, the walk, that point and
-    the base decomposition, None if none was given or made.
+    model: SurfaceModel
+    exc: str
+    point: Optional[PointSpec]
+    up: DivisorClass
+    pair: zariski.ZariskiPair
+
+    def walk(self) -> okounkov.Walk:
+        return okounkov._walk_from(self.model, self.up, self.exc,
+                                   self.pair.N_coeffs)
+
+
+def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
+              y: Optional[InfFlagSpec] = None,
+              what: str = "polygon") -> _BlownUp:
+    """Blow up at x, resolve the flag point at y if given, and decide once
+    whether d is big: on the base when it lists every curve of its
+    effective cone and declares no generators (P and N then pull back,
+    :func:`_pulled_back_start`, and the blow-up runs no LP), else on the
+    blow-up the walk runs on, which may list curves the base misses.
+    Every verdict at x reads the result: x is in Neg(D) when E has
+    a coefficient in N(pi*D), and in Null(D) only when P(pi*D) pairs to 0
+    with a curve meeting E.  NotBig says "<what> needs a big class".
     """
-    bm, pullback, exc = blow_up(model, x)
     d = model.divisor(d)
+    bm, pullback, exc = blow_up(model, x)
     point = None if y is None else _flag_point(bm, exc, y)
     up = pullback(d)
-    if not (model.completeness_declared
-            and model.effective_generators is None):
-        return bm, exc, okounkov.chamber_walk(bm, up, exc), point, pair
-    pair = pair or zariski.big_decomposition(model, d)
+    base = model.completeness_declared and model.effective_generators is None
+    pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
     if pair is None:
-        raise NotBig("polygon needs a big class")
-    walk = okounkov._walk_from(bm, up, exc, _pulled_back_start(pair, x, exc))
-    return bm, exc, walk, point, pair
+        raise NotBig(f"{what} needs a big class")
+    if base:
+        n = _pulled_back_start(pair, x, exc)
+        pair = zariski.ZariskiPair(pullback(pair.P), n, tuple(n))
+    return _BlownUp(bm, exc, point, up, pair)
 
 
 def _pulled_back_start(pair: zariski.ZariskiPair, x: BlowupSpec,
@@ -264,18 +273,14 @@ def infinitesimal_polygon(model: SurfaceModel, d: Sequence,
                           x: BlowupSpec = GENERIC_POINT,
                           y: InfFlagSpec = GENERIC_Y) -> NOPolygon:
     """Polygon of the pullback with respect to the flag (E, y)."""
-    _, _, walk, point, _ = _blown_up_walk(model, d, x, y=y)
-    return walk.polygon(point)
+    b = _blown_up(model, d, x, y)
+    return b.walk().polygon(b.point)
 
 
 def mu_prime(model: SurfaceModel, d: Sequence,
              x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest t with pullback(D) - tE big: the asymptotic multiplicity."""
-    d = model.divisor(d)
-    try:
-        return _blown_up_walk(model, d, x)[2].mu
-    except NotBig:
-        raise NotBig("mu' needs a big class") from None
+    return _blown_up(model, d, x, what="mu'").walk().mu
 
 
 def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
@@ -289,15 +294,12 @@ def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
     infinitesimal polygon at x; independent of the point y on E."""
-    d = model.divisor(d)
-    pair = zariski.big_decomposition(model, d)
-    if pair is None:
-        raise NotBig("xi needs a big class")
-    through = zariski.neg_curves_through(model, pair, x.mults)
-    if through:
+    b = _blown_up(model, d, x, what="xi")
+    if b.exc in b.pair.N_coeffs:
+        through = [n for n in exceptional_directions(b.model, b.exc)
+                   if n in b.pair.N_coeffs]
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    bm, exc, walk, _, _ = _blown_up_walk(model, d, x, pair=pair)
-    return _xi_of_walk(bm, exc, walk)
+    return _xi_of_walk(b.model, b.exc, b.walk())
 
 
 def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk
@@ -317,18 +319,15 @@ def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk
 def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
                     y: InfFlagSpec
                     ) -> tuple[NOPolygon, Optional[ExactScalar]]:
-    """The infinitesimal polygon at y and xi, read off one walk.  The
-    polygon is built first, so its errors are those of
-    :func:`infinitesimal_polygon`.  xi is None on the negative locus, when
-    only the blow-up finds the class big, and when the model data makes it
-    depend on the direction."""
-    bm, exc, walk, point, pair = _blown_up_walk(model, d, x, y=y)
-    poly = walk.polygon(point)
+    """The infinitesimal polygon at y and xi, read off one walk, with the
+    errors of :func:`infinitesimal_polygon`.  xi is None on the negative
+    locus and when the model data makes it depend on the direction."""
+    b = _blown_up(model, d, x, y)
+    walk = b.walk()
+    poly = walk.polygon(b.point)
     try:
-        pair = pair or zariski.big_decomposition(model, d)
-        if pair is None or zariski.neg_curves_through(model, pair, x.mults):
-            return poly, None
-        return poly, _xi_of_walk(bm, exc, walk)
+        in_neg = b.exc in b.pair.N_coeffs
+        return poly, None if in_neg else _xi_of_walk(b.model, b.exc, walk)
     except ModelInconsistency:
         return poly, None
 
@@ -349,19 +348,15 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
     """Moving Seshadri constant of a big class at x, as a tagged status:
     on the negative locus, on the null locus only (value zero), or
     positive with value xi."""
-    d = model.divisor(d)
-    pair = zariski.big_decomposition(model, d)
-    if pair is None:
-        raise NotBig("moving Seshadri constant needs a big class")
-    if zariski.neg_curves_through(model, pair, x.mults):
+    b = _blown_up(model, d, x, what="moving Seshadri constant")
+    if b.exc in b.pair.N_coeffs:
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    if any(x.mults.get(n, 0) > 0 and v == 0
-           for n, v in model.curve_pairings(pair.P).items()):
+    p_dot = b.model.curve_pairings(b.pair.P)
+    if any(p_dot[n] == 0 for n in exceptional_directions(b.model, b.exc)):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
-    bm, exc, walk, _, _ = _blown_up_walk(model, d, x, pair=pair)
     return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_of_walk(bm, exc, walk))
+                          value=_xi_of_walk(b.model, b.exc, b.walk()))
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -216,6 +216,10 @@ BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
 FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
               "3H-E1-E2-E3+L12", "--flag-curve", "E1", "--point"]
+# no point of E1 has multiplicity 3, on Neg(H + E1) or on Null(H)
+MULT_3_IN_NEG, MULT_3_IN_NULL = (
+    (["moving-seshadri", "--model", "builtin:bl2p2", "--divisor", d,
+      "--point"], {"mults": {"E1": 3}}) for d in ("H+E1", "H"))
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -276,6 +280,7 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
     (["moving-seshadri", "--model", "builtin:bl2p2", "--divisor", "3H-E1-E2",
       "--point"], {"mults": {"E1": 1}, "extra_curves": [
           {"name": "T", "class": [1, -1, 0, -17 * 10**15]}]}),
+    MULT_3_IN_NEG, MULT_3_IN_NULL,
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
@@ -289,7 +294,8 @@ FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
         "result-too-long-to-write", "model-ample-exponent",
         "point-mult-exponent", "model-r-exponent", "deg-exponent",
         "mult-3-on-a-smooth-rational-curve", "mult-10^17",
-        "extra-curve-negative-genus", "extra-curve-negative-genus-seshadri"])
+        "extra-curve-negative-genus", "extra-curve-negative-genus-seshadri",
+        "mult-3-seshadri-in-neg", "mult-3-seshadri-in-null"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -310,6 +316,18 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, spec", [MULT_3_IN_NEG, MULT_3_IN_NULL],
+                         ids=["in-neg", "in-null"])
+def test_cli_moving_seshadri_refuses_a_point_no_point_has(tmp_path, argv,
+                                                          spec):
+    """The point is checked before the class's loci are read."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(argv + [str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "inconsistent-multiplicities"
 
 
 @pytest.mark.parametrize("divisor, offset, expected", [

@@ -3,7 +3,8 @@ decomposition fixpoints, chamber walks, blow-ups, plain pairings and
 polygon vertex sets one query runs, and how many pivots an LP takes.
 These pin that a walk decides bigness once, that xi and moving Seshadri
 constants walk once, from the pulled-back decomposition, and build no
-vertices, that a second query at a point builds no blow-up, that a polygon
+vertices, that a moving Seshadri constant at a point of Neg(D) or Null(D)
+runs no walk, that a second query at a point builds no blow-up, that a polygon
 builds its vertices only when they are read, that pairings with the curve
 list read the model's curve table, and that the LP's pivots do not follow
 the order of the curves."""
@@ -19,7 +20,7 @@ import pytest
 
 import surfpos as sp
 from surfpos import infinitesimal, lattice, models, okounkov, seshadri, zariski
-from surfpos.cli import main
+from surfpos.cli import enc_scalar, main
 from surfpos.errors import NotBig, NotPseudoEffective
 from surfpos.infinitesimal import BlowupSpec
 from surfpos.lattice import PointSpec
@@ -218,8 +219,9 @@ def test_cli_infinitesimal_on_the_negative_locus_decides_bigness_once(
 
 def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
     """bl2p2 without L12, declared incomplete: only the blow-up, which lists
-    L12 again, finds the class big.  xi is null, and the polygon comes
-    from one blow-up and one walk."""
+    L12 again, finds the class big, and its verdict holds for xi too.  The
+    polygon and xi come from one blow-up and one walk, and xi is the
+    largest inverted simplex of that generic-y polygon."""
     m = sp.builtin("bl2p2")
     path = tmp_path / "model.json"
     models.save(m._replace(
@@ -231,8 +233,30 @@ def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
                      "--divisor", "2H-4/3*E1-4/3*E2"])
     assert code == 0
     doc = json.loads(out.getvalue())
-    assert doc["xi"] is None and doc["mu_prime"] == "4/3"
+    assert doc["xi"] == "2/3" and doc["mu_prime"] == "4/3"
     assert walks == {"walk": 1, "blowup": 1}
+    cut = models.load(path)
+    poly = sp.infinitesimal_polygon(
+        cut, cut.divisor([2, Fraction(-4, 3), Fraction(-4, 3)]))
+    assert {tuple(map(enc_scalar, v)) for v in poly.vertices} \
+        == set(map(tuple, doc["vertices"]))
+    assert enc_scalar(sp.largest_inverted_simplex(poly)) == doc["xi"]
+
+
+@pytest.mark.parametrize("name, d, x, status", [
+    ("bl1p2", (1, 0), infinitesimal.point_on_exceptional_spec,
+     sp.SeshadriStatus.IN_NULL_NOT_NEG),
+    ("example-interesting", (Fraction(3, 2), 1, 1),
+     lambda m: BlowupSpec(mults={"E2": 1}), sp.SeshadriStatus.IN_NEG),
+])
+def test_moving_seshadri_on_a_locus_runs_no_walk(counts, walks, name, d, x,
+                                                 status):
+    """Neg(D) and Null(D) are read off the decomposition that decided
+    bigness: one LP, one fixpoint, one blow-up and no walk."""
+    m = sp.builtin(name)
+    assert sp.moving_seshadri(m, d, x(m)).status is status
+    assert counts == {"lp": 1, "fixpoint": 1}
+    assert walks == {"walk": 0, "blowup": 1}
 
 
 @pytest.mark.parametrize("query, name, value", [

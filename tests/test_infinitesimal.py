@@ -13,6 +13,7 @@ from surfpos.errors import (
     PointInNegLocus,
 )
 from surfpos.infinitesimal import (
+    GENERIC_POINT,
     BlowupSpec,
     InfFlagSpec,
     SeshadriStatus,
@@ -280,18 +281,80 @@ def test_mu_prime_not_big():
         sp.mu_prime(b1, (1, -1))
 
 
+def without(model, name):
+    """The model with one curve left out of its list, declared
+    incomplete."""
+    return model._replace(
+        curves=tuple(c for c in model.curves if c.name != name),
+        completeness_declared=False)
+
+
 def test_mu_prime_on_an_incomplete_base_decides_bigness_on_the_blow_up():
     """A generic blow-up of a del Pezzo model lists every (-1)-curve again.
     With L12 missing from bl2p2's list, L12 + A/3 is not big on the base,
-    but its pullback is big on the blow-up, which knows the curve again."""
+    but its pullback is big on the blow-up, which knows the curve again.
+    xi and the moving Seshadri constant follow the same verdict."""
     m = sp.builtin("bl2p2")
-    cut = m._replace(
-        curves=tuple(c for c in m.curves if c.name != "L12"),
-        completeness_declared=False)
+    cut = without(m, "L12")
     d = tuple(a + Fraction(1, 3) * b
               for a, b in zip(m.curve_class("L12"), m.ample_ref))
     assert not sp.is_big(cut, d)
     assert sp.mu_prime(cut, d) == Fraction(4, 3)
+    assert sp.xi(cut, d) == Fraction(2, 3)
+    assert sp.moving_seshadri(cut, d) == (SeshadriStatus.POSITIVE,
+                                          Fraction(2, 3))
+    assert sp.largest_inverted_simplex(
+        sp.infinitesimal_polygon(cut, d)) == Fraction(2, 3)
+
+
+def answers_big(query, *args) -> bool:
+    """False if the query raises NotBig, True if it answers; a point of
+    Neg(D) is an answer."""
+    try:
+        query(*args)
+    except NotBig:
+        return False
+    except PointInNegLocus:
+        pass
+    return True
+
+
+def test_incomplete_bases_give_one_bigness_verdict():
+    """bl2p2 ... bl5p2, each without one (-1)-curve and declared
+    incomplete, at a generic point and at a point of a listed curve:
+    xi, the moving Seshadri constant, mu' and the polygon all raise
+    NotBig or all answer.  The classes are multiples of the missing
+    curve plus a little of A and of one more curve, so that many are big
+    on the blow-up only."""
+    rng = seeded_rng("one-bigness-verdict")
+    seen = set()
+    for r in range(2, 6):
+        m = sp.builtin(f"bl{r}p2")
+        gone = rng.choice([c for c in m.curves if c.self_int == -1])
+        cut = without(m, gone.name)
+        on = BlowupSpec(mults={rng.choice(cut.curves).name: 1})
+        for _ in range(6):
+            c = rng.choice(m.curves)
+            d = cut.divisor([
+                Fraction(rng.randrange(4), 4) * a + rng.randrange(1, 3) * g
+                + rng.randrange(3) * b
+                for a, g, b in zip(m.ample_ref, gone.cls, c.cls)])
+            for x in (GENERIC_POINT, on):
+                answers = {answers_big(query, cut, d, x) for query in (
+                    sp.xi, sp.moving_seshadri, sp.mu_prime,
+                    sp.infinitesimal_polygon)}
+                assert len(answers) == 1, (r, gone.name, d, x)
+                seen.add((answers.pop(), sp.is_big(cut, d)))
+    # big on the blow-up only, and not big at all, both occur
+    assert {(True, False), (False, False)} <= seen
+
+
+def test_xi_refuses_a_point_no_point_has():
+    """The blow-up is built before any verdict: E1 is in Neg(H + E1), but
+    no point of E1 has multiplicity 3."""
+    bl2 = sp.builtin("bl2p2")
+    with pytest.raises(InconsistentMultiplicities):
+        sp.xi(bl2, (1, 1, 0), BlowupSpec(mults={"E1": 3}))
 
 
 def test_xi_examples():

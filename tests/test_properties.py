@@ -14,6 +14,9 @@ curve in the direction of the curve (tangent).  The properties:
   polygon at the generic y and at every special direction;
 - the pulled-back decomposition a blown-up walk starts from equals the
   decomposition fixpoint on the blow-up, also at points of Neg(D);
+- moving Seshadri constants and xi, which read Neg(D) and Null(D) at x
+  off the decomposition of pi*D, agree with the base's verdicts on the
+  matrix models, at points of a curve or of two;
 - a chamber's integer pairings with the curves outside its support are
   those of its positive part, with or without a slope;
 - the integer elimination in ``scalars`` (rank, inverse, negative
@@ -41,8 +44,9 @@ from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos import models as models_mod
-from surfpos import scalars, zariski
+from surfpos import okounkov, scalars, zariski
 from surfpos.errors import (
+    InconsistentMultiplicities,
     InvariantViolation,
     ModelInconsistency,
     PointInNegLocus,
@@ -60,6 +64,7 @@ from surfpos.infinitesimal import (
 from surfpos.lattice import (
     PointSpec,
     SurfaceModel,
+    check_multiplicity,
     cone_contains,
     pairing,
     validate_model,
@@ -285,6 +290,75 @@ def test_pulled_back_start_is_the_decomposition_on_the_blow_up(data):
     ch = zariski.chamber(bm, pullback(d))
     assert list(start.items()) == [(n, c[0]) for n, c in ch.coeffs.items()]
     assert (exc in start) == bool(neg_curves_through(model, pair, x.mults))
+
+
+@st.composite
+def listed_points(draw, model):
+    """A point to blow up: generic, on one listed curve, or where two
+    listed curves meet, with multiplicities a point can have."""
+    names = [c.name for c in model.curves]
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return GENERIC_POINT
+    first = draw(st.sampled_from(names))
+    mults = {first: draw(st.integers(1, 2))}
+    meeting = [n for n in names if n != first and model.meet(n, first) > 0]
+    if kind == 2 and meeting:
+        mults = {first: 1, draw(st.sampled_from(meeting)): 1}
+    for n, m in mults.items():
+        try:
+            check_multiplicity(model, n, m)
+        except InconsistentMultiplicities:
+            assume(False)
+    return BlowupSpec(mults=mults)
+
+
+def _moving_seshadri_on_the_base(model, d, x):
+    """The verdicts of the base: Neg(D) from the curves of the base
+    decomposition through x, then Null(D) from P.C = 0 for a curve through
+    x, then xi from a walk on the blow-up at the generic y.  The second
+    value is xi, or PointInNegLocus on Neg(D)."""
+    pair = zariski.big_decomposition(model, d)
+    assert pair is not None
+    if neg_curves_through(model, pair, x.mults):
+        return (sp.SeshadriStatus.IN_NEG, None), PointInNegLocus
+    bm, pullback, exc = blow_up(model, x)
+    walk = okounkov.chamber_walk(bm, pullback(d), exc)
+    value = sp.largest_inverted_simplex(
+        walk.polygon(PointSpec(on_curve=exc, generic=True)))
+    if any(x.mults.get(n, 0) > 0 and v == 0
+           for n, v in model.curve_pairings(pair.P).items()):
+        return (sp.SeshadriStatus.IN_NULL_NOT_NEG, 0), value
+    return (sp.SeshadriStatus.POSITIVE, value), value
+
+
+@SETTINGS
+@given(st.data())
+def test_loci_on_the_blow_up_equal_those_on_the_base(data):
+    """On the complete matrix models, at points generic, on a curve or
+    where two meet, and big classes with a negative curve added (through
+    the point when one is, so often not nef and often on Neg(D)): moving
+    Seshadri constants and xi read Neg(D) and Null(D) off the
+    decomposition of pi*D as the base reads them off that of D."""
+    model = sp.builtin(data.draw(st.sampled_from(MATRIX_MODELS)))
+    x = data.draw(listed_points(model))
+    # a negative curve, through x when one is, added to a big class
+    negative = [c.name for c in model.curves if c.self_int < 0]
+    d = data.draw(big_classes(model))
+    if negative:
+        through = [n for n in negative if x.mults.get(n)]
+        c = model.curve_class(data.draw(st.sampled_from(through or negative)))
+        s = data.draw(st.sampled_from([1, 4]))
+        k = data.draw(st.integers(0, 3))
+        d = model.divisor([a / s + k * b for a, b in zip(d, c)])
+    assume(sp.is_big(model, d))
+    moving, xi = _moving_seshadri_on_the_base(model, d, x)
+    assert sp.moving_seshadri(model, d, x) == moving
+    if xi is PointInNegLocus:
+        with pytest.raises(PointInNegLocus):
+            sp.xi(model, d, x)
+    else:
+        assert sp.xi(model, d, x) == xi
 
 
 @SETTINGS
