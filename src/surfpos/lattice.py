@@ -393,29 +393,20 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
         return False
     m = len(target)
     n = len(gens)
-    # rows: equality constraints; make rhs non-negative
-    rows = []
-    rhs = []
-    for i in range(m):
-        coeffs = [g[i] for g in gens]
-        b = target[i]
-        if b < 0:
-            coeffs = [-c for c in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
-    # tableau with artificial basis
-    width = n + m
-    tab = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
+    # One row per equality constraint, its right-hand side (entry n) made
+    # non-negative.  Artificial i starts basic in row i under the label
+    # n + i, which the leaving-row tie-break reads.  Artificial columns are
+    # never priced, never enter and are never read, so none is stored
+    # (Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
+    # 1997, 3.5): the pivots are those of the full phase-one tableau.
+    tab = []
+    for i, b in enumerate(target):
+        row = [g[i] for g in gens] + [b]
+        tab.append([-x for x in row] if b < 0 else row)
     basis = [n + i for i in range(m)]
-    # phase-1 objective: sum of artificials, expressed in non-basic terms
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] += tab[i][j]
-    # obj[j] is the reduced cost of column j < n, exactly 0 while j is
-    # basic; artificial columns never re-enter
+    # phase-1 objective: the sum of the artificials in non-basic terms;
+    # obj[j] is the reduced cost of column j, exactly 0 while j is basic
+    obj = [sum(col) for col in zip(*tab)]
     cols = range(n)
     bland = False
     while True:
@@ -430,7 +421,7 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
         best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
+                ratio = tab[i][n] / tab[i][enter]
                 if best is None or ratio < best[0] or \
                         (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
@@ -440,7 +431,7 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
         _pivot(tab, obj, piv, enter)
         basis[piv] = enter
         bland = ratio == 0
-    return obj[width] == 0
+    return obj[n] == 0
 
 
 # ----------------------------------------------------------------------

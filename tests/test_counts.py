@@ -1,6 +1,7 @@
 """Deterministic work counts: how many pseudo-effectivity LPs, plain
 decomposition fixpoints, chamber walks, blow-ups, plain pairings and
-polygon vertex sets one query runs, and how many pivots an LP takes.
+polygon vertex sets one query runs, how many pivots an LP takes and how
+wide its tableau is.
 These pin that a walk decides bigness once, that xi and moving Seshadri
 constants walk once, from the pulled-back decomposition, and build no
 vertices, that a moving Seshadri constant at a point of Neg(D) or Null(D)
@@ -83,6 +84,22 @@ def pivots(monkeypatch):
 
 
 @pytest.fixture
+def pivot_widths(monkeypatch):
+    """Record the lengths of the tableau rows and of the objective row
+    that lattice._pivot receives."""
+    widths = set()
+    pivot = lattice._pivot
+
+    def recorded_pivot(tab, obj, piv, enter):
+        widths.update(map(len, tab))
+        widths.add(len(obj))
+        return pivot(tab, obj, piv, enter)
+
+    monkeypatch.setattr(lattice, "_pivot", recorded_pivot)
+    return widths
+
+
+@pytest.fixture
 def vertices(monkeypatch):
     """Count calls of okounkov._vertices: polygons built with vertices."""
     n = {"vertices": 0}
@@ -152,6 +169,18 @@ def test_lp_near_minus_k_takes_at_most_rank_plus_one_pivots(
         assert zariski.is_pseudo_effective(m, d)
         assert pivots["pivot"] <= m.rank + 1, (name, a)
     assert counts == {"lp": m.rank, "fixpoint": 0}
+
+
+@pytest.mark.parametrize("name, d", [("bl8p2", None),
+                                     ("hirzebruch-3", (2, 3))])
+def test_tableau_stores_no_artificial_column(pivot_widths, name, d):
+    """A tableau row and the objective row hold one entry per generator
+    and the right-hand side: the artificial columns, which never enter,
+    are not stored.  d = None is -K."""
+    m = sp.builtin(name)
+    d = anti_canonical(m) if d is None else m.divisor(d)
+    assert zariski.is_pseudo_effective(m, d)
+    assert pivot_widths == {len(m.effective_gens()) + 1}
 
 
 def test_ample_row_refuses_a_class_without_an_lp(counts):
