@@ -6,9 +6,9 @@ per-chamber CSV tables.  Exit codes: 0 success, 1 domain error (with a
 machine-readable error object on stderr), 2 usage error.
 
 A process loads only what its subcommand runs: the parser gives arguments
-to that subcommand alone, and each branch of :func:`run` imports the
-modules it calls after its inputs are decoded, so a malformed input is
-rejected before any of them loads.
+to that subcommand alone, :func:`run` decodes every input before it
+dispatches, and each branch imports the modules it calls, so a malformed
+input is rejected before any of them loads.
 """
 
 from __future__ import annotations
@@ -341,13 +341,21 @@ def run(argv=None) -> int:
     # argparse runs the first token not read as an option
     command = next((t for t in argv if t[:1] != "-"), None)
     args = build_parser(command).parse_args(argv)
-    model = None
+    model = d = flag = point = y = None
     if getattr(args, "model", None):
         model = models.resolve_model(args.model)
+    # every input is decoded here, in this order, before any dispatch
+    if hasattr(args, "divisor"):
+        d = parse_divisor(args.divisor, model)
+    if hasattr(args, "flag_curve"):
+        flag, point = _resolve_flag(args, model)
+    elif hasattr(args, "point"):
+        point = _resolve_blowup_point(args.point, model)
+    if hasattr(args, "y"):
+        y = _resolve_y(args.y)
     cmd = args.command
 
     if cmd == "zariski":
-        d = parse_divisor(args.divisor, model)
         from . import zariski
         pair = zariski.zariski_decompose(model, d)
         vol = zariski.self_intersection(model, pair.P)
@@ -360,15 +368,12 @@ def run(argv=None) -> int:
               "ample": zariski.is_ample(model, d),
               "big": vol > 0}, args)
     elif cmd == "loci":
-        d = parse_divisor(args.divisor, model)
         from . import zariski
         rep = zariski.loci(model, d)
         emit({"null": sorted(rep.null_curves),
               "neg": sorted(rep.neg_curves),
               "relative": rep.relative}, args)
     elif cmd == "polygon":
-        d = parse_divisor(args.divisor, model)
-        flag, point = _resolve_flag(args, model)
         from . import okounkov
         res = okounkov.criterion_at_point(model, d, flag, point)
         poly = res["polygon"]
@@ -379,11 +384,8 @@ def run(argv=None) -> int:
         if args.csv:
             emit_csv(poly, args.csv)
     elif cmd == "infinitesimal":
-        d = parse_divisor(args.divisor, model)
-        x = _resolve_blowup_point(args.point, model)
-        y = _resolve_y(args.y)
         from . import infinitesimal
-        poly, xi_val = infinitesimal._polygon_and_xi(model, d, x, y)
+        poly, xi_val = infinitesimal._polygon_and_xi(model, d, point, y)
         extra = {"mu_prime": enc_scalar(poly.mu),
                  "xi": None if xi_val is None else enc_scalar(xi_val)}
         emit(enc_polygon(poly, extra), args)
@@ -393,22 +395,16 @@ def run(argv=None) -> int:
         if args.csv:
             emit_csv(poly, args.csv)
     elif cmd == "seshadri":
-        d = parse_divisor(args.divisor, model)
-        x = _resolve_blowup_point(args.point, model)
         from . import seshadri
-        emit({"epsilon": enc_scalar(seshadri.seshadri_direct(model, d, x))},
-             args)
+        eps = seshadri.seshadri_direct(model, d, point)
+        emit({"epsilon": enc_scalar(eps)}, args)
     elif cmd == "moving-seshadri":
-        d = parse_divisor(args.divisor, model)
-        x = _resolve_blowup_point(args.point, model)
         from . import infinitesimal
-        res = infinitesimal.moving_seshadri(model, d, x)
+        res = infinitesimal.moving_seshadri(model, d, point)
         emit({"status": res.status.value,
               "value": None if res.value is None else enc_scalar(res.value)},
              args)
     elif cmd == "lambda":
-        d = parse_divisor(args.divisor, model)
-        flag, point = _resolve_flag(args, model)
         from . import seshadri
         lam = seshadri.largest_simplex_flag(model, d, flag, point)
         emit({"lambda": enc_scalar(lam)}, args)
@@ -417,10 +413,9 @@ def run(argv=None) -> int:
         emit({"rays": [list(r) for r in cone.generators],
               "facet_normals": [list(f) for f in cone.facet_normals]}, args)
     elif cmd == "freemult":
-        b = parse_divisor(args.divisor, model)
         from . import seshadri
         cone = lattice.dual_cone(model.effective_gens(), model)
-        emit({"m": seshadri.free_multiple(cone, b, model)}, args)
+        emit({"m": seshadri.free_multiple(cone, d, model)}, args)
     elif cmd == "genericbound":
         degree, target = _dec_frac(args.deg), _dec_frac(args.target)
         from . import seshadri
@@ -431,9 +426,8 @@ def run(argv=None) -> int:
               "witnesses": [list(w) for w in res.witnesses],
               "q_range": list(res.q_range)}, args)
     elif cmd == "blowup":
-        x = _resolve_blowup_point(args.point, model)
         from . import infinitesimal
-        bm, _, exc = infinitesimal.blow_up(model, x)
+        bm, _, exc = infinitesimal.blow_up(model, point)
         doc = models.model_to_dict(bm)
         doc["exceptional"] = exc
         emit(doc, args)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -172,8 +173,12 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
                 f"volume not positive at t={t0} inside the walk")
         blen = chamber.curve_pairing(flag_curve)
         if next_wall is None or _root_before(q, t0, next_wall):
+            # the root for p0 = g*p0' is g times the one for p0', whose
+            # discriminant is smaller by g^2: the root of kD factors no k^2
+            g = math.gcd(*p0) or 1
             try:
-                mu = positive_quadratic_root(*q, t0)
+                mu = g * positive_quadratic_root(
+                    q[0], q[1] // g, q[2] // (g * g), t0 / g)
             except NoRealRoot:
                 raise ModelInconsistency(
                     "chamber walk found neither a wall nor a volume "
@@ -297,10 +302,6 @@ def polygon_interior_contains(poly: NOPolygon, pt: Point) -> bool:
     if not (poly.nu < t < poly.mu):
         return False
     return poly.alpha(t) < y < poly.beta(t)
-
-
-def polygon_equal(p1: NOPolygon, p2: NOPolygon) -> bool:
-    return set(p1.vertices) == set(p2.vertices)
 
 
 def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:

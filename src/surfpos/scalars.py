@@ -87,9 +87,8 @@ class Quad:
     :func:`quad` to construct values, which collapses degenerate cases to
     plain Fractions.
 
-    The sign of a + b*sqrt(d) is decided rationally: when a and b have
-    opposite signs the comparison a^2 vs b^2*d settles it (equality is
-    impossible since d is not a square).
+    The sign of a + b*sqrt(d) is sign(a) when a^2 > b^2*d, else sign(b):
+    a^2 = b^2*d cannot hold, since d is not a square.
     """
 
     __slots__ = ("a", "b", "d")
@@ -109,20 +108,17 @@ class Quad:
     # -- arithmetic -------------------------------------------------
 
     def _coerce(self, other) -> tuple[Fraction, Fraction]:
-        """Return (a, b) of ``other`` viewed in this value's field."""
+        """(a, b) of ``other`` in this value's field; only a Quad of the
+        same field, an int or a Fraction is an operand."""
         if isinstance(other, Quad):
             if other.d != self.d:
                 raise MixedRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
             return other.a, other.b
-        if isinstance(other, (int, Fraction)):
-            return _frac(other), Fraction(0)
-        return NotImplemented  # type: ignore[return-value]
+        return _frac(other), Fraction(0)
 
     def __add__(self, other):
-        ab = self._coerce(other)
-        if ab is NotImplemented:
-            return NotImplemented
-        return quad(self.a + ab[0], self.b + ab[1], self.d)
+        oa, ob = self._coerce(other)
+        return quad(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
@@ -130,62 +126,38 @@ class Quad:
         return Quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        ab = self._coerce(other)
-        if ab is NotImplemented:
-            return NotImplemented
-        return quad(self.a - ab[0], self.b - ab[1], self.d)
+        oa, ob = self._coerce(other)
+        return quad(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        oa, ob = self._coerce(other)
+        return quad(oa - self.a, ob - self.b, self.d)
 
     def __mul__(self, other):
-        ab = self._coerce(other)
-        if ab is NotImplemented:
-            return NotImplemented
-        oa, ob = ab
+        oa, ob = self._coerce(other)
         return quad(self.a * oa + self.b * ob * self.d,
                     self.a * ob + self.b * oa, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        ab = self._coerce(other)
-        if ab is NotImplemented:
-            return NotImplemented
-        oa, ob = ab
+        oa, ob = self._coerce(other)
         norm = oa * oa - ob * ob * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self.__mul__(Quad(oa / norm, -ob / norm, self.d))
+        return self * Quad(oa / norm, -ob / norm, self.d)
 
     def __rtruediv__(self, other):
-        inv = Quad(Fraction(1), Fraction(0), self.d).__truediv__(self)
-        return inv.__mul__(other)
+        norm = self.a * self.a - self.b * self.b * self.d
+        return Quad(self.a / norm, -self.b / norm, self.d) * other
 
     # -- ordering ---------------------------------------------------
 
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if b == 0:  # cannot happen for normalized values
-            return 1 if a > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare |a| vs |b|*sqrt(d) via squares
-        if a * a > b * b * self.d:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
     def _cmp(self, other) -> int:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare Quad with {type(other).__name__}")
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff._sign()
+        x = self - other
+        if isinstance(x, Quad):
+            x = x.a if x.a * x.a > x.b * x.b * x.d else x.b
+        return (x > 0) - (x < 0)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

@@ -32,7 +32,6 @@ from .errors import (
     ModelInconsistency,
     NotBigNef,
     NotPseudoEffective,
-    PointInNegLocus,
 )
 from .lattice import (
     DivisorClass,
@@ -260,31 +259,3 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
             return dict(zip(null, a)), s
         s /= 2
     raise ModelInconsistency("no ample perturbation found by halving")
-
-
-def neg_curves_through(model: SurfaceModel, pair: ZariskiPair,
-                       mults: dict[str, int]) -> list[str]:
-    """Support curves passing through the point described by ``mults``."""
-    return [n for n in pair.support if mults.get(n, 0) > 0]
-
-
-def pullback_zariski_check(model: SurfaceModel, blowup_model: SurfaceModel,
-                           pullback, d: Sequence,
-                           point_mults: dict[str, int],
-                           rename: Optional[dict[str, str]] = None) -> bool:
-    """Check that the pullback of a decomposition is again the decomposition.
-
-    ``pullback`` maps base classes to blow-up classes; ``point_mults`` gives
-    the multiplicity of each base curve at the blown-up point; ``rename``
-    maps base curve names to their strict-transform names.
-    """
-    rename = rename or {}
-    base = zariski_decompose(model, d)
-    through = neg_curves_through(model, base, point_mults)
-    if through:
-        raise PointInNegLocus(
-            f"point lies on negative curves {through}")
-    up = zariski_decompose(blowup_model, pullback(model.divisor(d)))
-    expect_p = pullback(base.P)
-    expect_n = {rename.get(n, n): a for n, a in base.N_coeffs.items()}
-    return tuple(up.P) == tuple(expect_p) and up.N_coeffs == expect_n

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import surfpos as sp
+from surfpos.errors import PointInNegLocus
 from surfpos.lattice import PointSpec
 from surfpos.scalars import Quad
 
@@ -146,3 +147,32 @@ def assert_grid_oracle(configs, step=Fraction(1, 64)):
             a, b = oracle_alpha_beta(model, d, flag_curve, point, t)
             assert poly.alpha(t) == a, (name, d, flag_curve, t)
             assert poly.beta(t) == b, (name, d, flag_curve, t)
+
+
+def polygon_equal(p1, p2) -> bool:
+    return set(p1.vertices) == set(p2.vertices)
+
+
+def neg_curves_through(model, pair, mults) -> list[str]:
+    """Support curves passing through the point described by ``mults``."""
+    return [n for n in pair.support if mults.get(n, 0) > 0]
+
+
+def pullback_zariski_check(model, blowup_model, pullback, d, point_mults,
+                           rename=None) -> bool:
+    """Check that the pullback of a decomposition is again the decomposition.
+
+    ``pullback`` maps base classes to blow-up classes; ``point_mults`` gives
+    the multiplicity of each base curve at the blown-up point; ``rename``
+    maps base curve names to their strict-transform names.
+    """
+    rename = rename or {}
+    base = sp.zariski_decompose(model, d)
+    through = neg_curves_through(model, base, point_mults)
+    if through:
+        raise PointInNegLocus(
+            f"point lies on negative curves {through}")
+    up = sp.zariski_decompose(blowup_model, pullback(model.divisor(d)))
+    expect_p = pullback(base.P)
+    expect_n = {rename.get(n, n): a for n, a in base.N_coeffs.items()}
+    return tuple(up.P) == tuple(expect_p) and up.N_coeffs == expect_n

@@ -1,0 +1,38 @@
+"""The CLI's answers, byte for byte.
+
+``data/cli_outputs.json`` maps a command line to the exit code, stdout and
+stderr that ``surfpos`` gave for it, run in-process as here.  It holds the
+six commands of acceptance criterion 12; a polygon on the relative model of
+``test_okounkov.py``, saved as ``relative.json`` in the working directory,
+whose mu, lambda, t_hi and vertices are in Q(sqrt 3), mu = -1 + sqrt(3);
+one not-pseudo-effective error and one parse error.  The file was recorded
+from the code before ``Quad`` took its present form, and a changed byte is
+a changed answer."""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from surfpos.cli import main
+from surfpos.models import save
+
+from test_okounkov import relative_model
+
+OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json")
+                     .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("line", list(OUTPUTS))
+def test_cli_output_bytes(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save(relative_model(), "relative.json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(line.split())
+    assert {"code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()} == OUTPUTS[line]

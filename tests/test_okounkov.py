@@ -3,12 +3,16 @@ import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos.cli import main
 from surfpos.errors import NotBig, OutOfRange
+from surfpos.infinitesimal import moving_seshadri, xi
 from surfpos.lattice import PointSpec
 from surfpos.scalars import Quad
 from surfpos.okounkov import (
@@ -19,13 +23,16 @@ from surfpos.okounkov import (
     okounkov_polygon,
     polygon_area,
     polygon_contains,
-    polygon_equal,
     vertical_slice,
 )
 from conftest import (
+    BIG_CLASSES,
+    FLAGS,
+    MATRIX_MODELS,
     assert_breakpoint_oracle,
     grid_points,
     matrix_configs,
+    polygon_equal,
     seeded_rng,
 )
 
@@ -153,18 +160,19 @@ def test_irrational_mu_of_a_large_prime_multiple_on_relative_model():
 
 def test_square_free_part_out_of_reach_is_out_of_range(tmp_path,
                                                        monkeypatch):
-    """With trial divisors below 5 only, 12k^2 is out of reach: the
-    library raises OutOfRange, and the CLI exits 1 with its JSON error."""
+    """With trial divisors below 5 only, 12k^2, the discriminant of the
+    primitive class kH + C, is out of reach: the library raises OutOfRange,
+    and the CLI exits 1 with its JSON error."""
     k = 10**9 + 7
     monkeypatch.setattr(sp.scalars, "_TRIAL_LIMIT", 5)
     with pytest.raises(OutOfRange, match="no prime factor below 5$"):
-        okounkov_polygon(relative_model(), (k, 0), "C",
+        okounkov_polygon(relative_model(), (k, 1), "C",
                          PointSpec(on_curve="C", generic=True))
     path = tmp_path / "relative.json"
     sp.models.save(relative_model(), path)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main(["polygon", "--model", str(path), "--divisor", f"{k}H",
+        code = main(["polygon", "--model", str(path), "--divisor", f"{k}H+C",
                      "--flag-curve", "C", "--point", "generic"])
     assert code == 1
     assert json.loads(err.getvalue())["error"] == "out-of-range"
@@ -198,6 +206,60 @@ def test_polygon_of_a_multiple_is_the_multiple_polygon(cls, flag, k):
         signal.signal(signal.SIGALRM, previous)
     assert scaled.nu == k * poly.nu and scaled.mu == k * poly.mu
     assert set(scaled.vertices) == {(k * t, k * y) for t, y in poly.vertices}
+
+
+# (model, class, flag curve and point): the big classes of the matrix
+# models at their first flag, and classes of the relative model, whose
+# walks end at quadratic irrationals, as do their xi and moving Seshadri
+# constants at a generic point
+HOMOGENEITY_CASES = (
+    [(name, cls, *FLAGS[name][0]) for name in MATRIX_MODELS
+     for cls in BIG_CLASSES[name]]
+    + [("relative", cls, "C", PointSpec(on_curve="C", generic=True))
+       for cls in ((1, 0), (2, 1), (1, 1))])
+
+
+@cache
+def homogeneity_model(name):
+    return relative_model() if name == "relative" else sp.builtin(name)
+
+
+def homogeneity_values(model, d, flag, point):
+    """The polygon's vertices, xi and the moving Seshadri constant of d."""
+    poly = okounkov_polygon(model, d, flag, point)
+    return set(poly.vertices), xi(model, d), moving_seshadri(model, d).value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(HOMOGENEITY_CASES),
+       st.one_of(st.sampled_from((10**9 + 7, 10**40 + 121)),
+                 st.integers(1, 10**40)))
+def test_values_of_a_multiple_are_the_multiple_values(case, k):
+    """The polygon vertices, xi and the moving Seshadri constant of kD are
+    k times those of D.  An irrational root of kD has k^2 in its
+    discriminant, so the alarm fails the test if the walk factors it."""
+    name, cls, flag, point = case
+    model = homogeneity_model(name)
+    vertices, xi_d, eps_d = homogeneity_values(model, cls, flag, point)
+
+    def expired(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        scaled = homogeneity_values(model, [k * x for x in cls], flag,
+                                    point)
+    except TimeoutError:
+        # pytest cannot print a traceback through the interrupted frame
+        # when it has no line number, as in a tight loop
+        raise AssertionError(
+            f"values of {k}*{cls} ran past the alarm") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert scaled == ({(k * t, k * y) for t, y in vertices},
+                      k * xi_d, k * eps_d), (name, cls, k)
 
 
 def test_vertical_slice_example():

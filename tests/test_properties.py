@@ -69,9 +69,12 @@ from surfpos.lattice import (
     pairing,
     validate_model,
 )
-from surfpos.zariski import neg_curves_through
 
-from conftest import MATRIX_MODELS, assert_breakpoint_oracle
+from conftest import (
+    MATRIX_MODELS,
+    assert_breakpoint_oracle,
+    neg_curves_through,
+)
 
 BASES = (["p2"] + [f"bl{r}p2" for r in range(1, 6)]
          + [f"hirzebruch-{n}" for n in range(7)] + ["example-interesting"])

@@ -1,6 +1,8 @@
+import operator
 import signal
 from fractions import Fraction
 
+import mpmath
 import pytest
 from sympy import Matrix
 
@@ -131,6 +133,68 @@ def test_ordering_against_high_precision_oracle():
             assert sign == (1 if approx > 0 else -1)
         else:
             assert sign == 0 or not isinstance(v, Quad)
+
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def operand_pairs(salt, n=300):
+    """Pairs of a Quad of one of five radicands (8 and 12 share the fields
+    of 2 and 3) and a Quad of the same field, a Fraction or an int."""
+    rng = seeded_rng(salt)
+
+    def rational(nonzero=False):
+        return Fraction(rng.randrange(1 if nonzero else 0, 21)
+                        * rng.choice((-1, 1)), rng.randrange(1, 13))
+
+    for _ in range(n):
+        d = rng.choice((2, 3, 5, 8, 12))
+        x = quad(rational(), rational(nonzero=True), d)
+        y = rng.choice((quad(rational(), rational(nonzero=True), d),
+                        rational(), rng.randrange(-20, 21)))
+        yield x, y
+
+
+def oracle(v):
+    """The value of an exact scalar in mpmath's working precision."""
+    if isinstance(v, Quad):
+        return oracle(v.a) + oracle(v.b) * mpmath.sqrt(v.d)
+    assert isinstance(v, (int, Fraction)), type(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def test_quad_operators_agree_with_mpmath():
+    """+, -, *, / and the four orderings, with the Quad on either side,
+    agree with mpmath at 60 digits.  A Quad is never 0, so only a rational
+    divisor is skipped when it is 0."""
+    tol = mpmath.mpf(10) ** -50
+    for pair in operand_pairs("quad-operators"):
+        for x, y in (pair, pair[::-1]):
+            with mpmath.workdps(60):
+                for op in ARITHMETIC:
+                    if op is operator.truediv and y == 0:
+                        continue
+                    want = op(oracle(x), oracle(y))
+                    assert abs(oracle(op(x, y)) - want) <= \
+                        tol * max(1, abs(want)), (op.__name__, x, y)
+                diff = oracle(x) - oracle(y)
+                sign = 0 if abs(diff) < tol else (diff > 0) - (diff < 0)
+            assert (sign == 0) == (x == y)
+            for op in ORDER:
+                assert op(x, y) == op(sign, 0), (op.__name__, x, y)
+
+
+def test_quad_refuses_inexact_and_foreign_operands():
+    refusals = ((1.5, TypeError), (mpmath.mpf(1) / 3, TypeError),
+                (quad(1, 1, 7), MixedRadicands))
+    for x, _ in operand_pairs("quad-refusals", n=20):
+        for op in ARITHMETIC + ORDER:
+            for other, error in refusals:
+                with pytest.raises(error):
+                    op(x, other)
+                with pytest.raises(error):
+                    op(other, x)
 
 
 def test_total_order_transitive_samples():

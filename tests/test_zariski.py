@@ -18,12 +18,16 @@ from surfpos.zariski import (
     ample_perturbation,
     is_big,
     is_pseudo_effective,
-    neg_curves_through,
-    pullback_zariski_check,
     zariski_decompose,
 )
 
-from conftest import MATRIX_MODELS, random_pseff, seeded_rng
+from conftest import (
+    MATRIX_MODELS,
+    neg_curves_through,
+    pullback_zariski_check,
+    random_pseff,
+    seeded_rng,
+)
 
 
 def test_decompose_ample_is_itself():

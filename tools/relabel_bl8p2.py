@@ -15,7 +15,7 @@ import time
 
 import surfpos as sp
 from surfpos.lattice import PointSpec
-from surfpos.okounkov import criterion_at_point, polygon_equal
+from surfpos.okounkov import criterion_at_point
 
 model = sp.builtin("bl8p2")
 model.effective_gens()  # built once per model; keep it out of the times
@@ -35,7 +35,8 @@ for _ in range(5):
     print(f"-K + E{a}, flag {flag}: {elapsed:.2f} s")
 first = results[0]
 for result in results[1:]:
-    assert polygon_equal(result["polygon"], first["polygon"])
+    assert (set(result["polygon"].vertices)
+            == set(first["polygon"].vertices))
     assert result["origin_in"] == first["origin_in"]
     assert result["lambda"] == first["lambda"]
 print(f"bl8p2: five labellings give one polygon with "
