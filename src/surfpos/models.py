@@ -6,7 +6,7 @@ regardless of platform integer width.  Every invariant is re-verified on
 load.
 
 Builtin catalog:
-  p2                         the projective plane
+  p2                         the projective plane (the del Pezzo case r = 0)
   bl1p2 .. bl8p2             del Pezzo blow-ups of p2 in general position
   hirzebruch-N               the Hirzebruch surface with a (-N)-section
   example-interesting        two-step blow-up of p2 (point, then a point on
@@ -32,6 +32,7 @@ from .lattice import (
     SurfaceModel,
     validate_model,
 )
+from .scalars import primitive, vector
 
 SCHEMA_VERSION = 1
 
@@ -44,53 +45,36 @@ def enumerate_minus_one_curves(r: int) -> list[tuple[int, ...]]:
     """All classes a*H - sum(b_i * E_i) with self-intersection -1 and
     anticanonical degree 1, for the blow-up of p2 at r general points.
 
-    Bounded exhaustive search over non-increasing multiplicity vectors;
-    a <= 6 suffices for r <= 8.  The exceptional classes themselves are
-    included.  Coordinates are in the basis (H, E_1, ..., E_r).
+    The exceptional classes themselves are included.  Coordinates are in
+    the basis (H, E_1, ..., E_r).
     """
+    if not 1 <= r <= 8:
+        raise InvariantViolation("del Pezzo range", f"r={r} outside 1..8")
     return list(_minus_one_classes(r))
 
 
 @lru_cache(maxsize=None)
 def _minus_one_classes(r: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted classes of :func:`enumerate_minus_one_curves`, searched
-    once per r."""
-    if not 1 <= r <= 8:
-        raise InvariantViolation("del Pezzo range", f"r={r} outside 1..8")
-    found: list[tuple[int, ...]] = []
-    for i in range(r):
-        found.append(tuple([0] + [int(j == i) for j in range(r)]))
-    for a in range(1, 7):
-        target_sum = 3 * a - 1
-        target_sq = a * a + 1
-        # partitions of target_sum into <= r parts bounded by a
-        def parts(remaining, remaining_sq, slots, bound, prefix):
-            if remaining == 0 and remaining_sq == 0:
-                yield prefix + [0] * slots
-                return
-            if slots == 0 or remaining < 0 or remaining_sq < 0:
-                return
-            if remaining > bound * slots or remaining_sq > bound * bound * slots:
-                return
-            for b in range(min(bound, remaining), 0, -1):
-                yield from parts(remaining - b, remaining_sq - b * b,
-                                 slots - 1, b, prefix + [b])
-        for base in parts(target_sum, target_sq, r, a, []):
-            for perm in _distinct_permutations(tuple(base)):
-                found.append((a,) + tuple(-x for x in perm))
-    # store with positive multiplicities: class is (a, -b_1, ..., -b_r)
-    return tuple(sorted(found))
-
-
-def _distinct_permutations(items: tuple[int, ...]):
-    """Each distinct ordering of ``items`` once, for items whose equal
-    entries are adjacent (as in a sorted tuple)."""
-    if not items:
-        yield ()
-    for i, x in enumerate(items):
-        if i == 0 or x != items[i - 1]:
-            for rest in _distinct_permutations(items[:i] + items[i + 1:]):
-                yield (x,) + rest
+    """The sorted classes of :func:`enumerate_minus_one_curves`, empty for
+    r = 0: the orbit of E_1 and, for r >= 2, of H - E_1 - E_2 under the Weyl
+    group W(E_r) (Manin, Cubic Forms, IV.26).  It is generated by the
+    transpositions of adjacent E_i and, for r >= 3, the Cremona reflection
+    v -> v + (v . a) a in a = H - E_1 - E_2 - E_3.  The orbit is finite only
+    for r <= 8."""
+    # E_1, and H - E_1 - E_2 for r >= 2
+    seeds = [(0, 1) + (0,) * (r - 1), (1, -1, -1) + (0,) * (r - 2)][:r]
+    orbit, todo = set(seeds), seeds
+    while todo:
+        v = todo.pop()
+        images = [v[:i] + (v[i + 1], v[i]) + v[i + 2:] for i in range(1, r)]
+        if r >= 3:
+            k = v[0] + v[1] + v[2] + v[3]
+            images.append((v[0] + k, v[1] - k, v[2] - k, v[3] - k) + v[4:])
+        for w in images:
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return tuple(sorted(orbit))
 
 
 def _curve_name(cls: tuple[int, ...]) -> str:
@@ -112,7 +96,7 @@ def _del_pezzo(r: int) -> SurfaceModel:
     gram = tuple(tuple((1 if i == j == 0 else (-1 if i == j else 0))
                        for j in range(r + 1)) for i in range(r + 1))
     curves = []
-    for cls in enumerate_minus_one_curves(r):
+    for cls in _minus_one_classes(r):
         name = _curve_name(cls)
         if r == 1:
             name = name.replace("E1", "E")
@@ -127,7 +111,6 @@ def _del_pezzo(r: int) -> SurfaceModel:
         curves.append(CurveRecord(name="F", cls=(1, -1), self_int=0,
                                   is_rational=True))
     anti_k = (3,) + (-1,) * r
-    canonical = (-3,) + (1,) * r
     points = {"generic": PointSpec(on_curve="L", generic=True)}
     if r == 1:
         points["on-E"] = PointSpec(on_curve="E", generic=True)
@@ -137,28 +120,12 @@ def _del_pezzo(r: int) -> SurfaceModel:
         basis_labels=labels,
         gram=gram,
         curves=tuple(curves),
-        ample_ref=tuple(Fraction(x) for x in anti_k),
-        canonical=tuple(Fraction(x) for x in canonical),
+        ample_ref=vector(primitive(anti_k)),  # H on p2, -K otherwise
+        canonical=vector(-x for x in anti_k),
         completeness_declared=True,
         points=points,
         generic_families=tuple(families),
         metadata={"family": "del-pezzo", "r": str(r)},
-    )
-
-
-def _p2() -> SurfaceModel:
-    return SurfaceModel(
-        rank=1,
-        basis_labels=("H",),
-        gram=((1,),),
-        curves=(CurveRecord(name="L", cls=(1,), self_int=1,
-                            is_rational=True),),
-        ample_ref=(Fraction(1),),
-        canonical=(Fraction(-3),),
-        completeness_declared=True,
-        points={"generic": PointSpec(on_curve="L", generic=True)},
-        generic_families=(GenericFamily(cls=(1,), mult=1, name_hint="L"),),
-        metadata={"family": "del-pezzo", "r": "0"},
     )
 
 
@@ -228,7 +195,7 @@ def _example_interesting_base() -> SurfaceModel:
 @lru_cache(maxsize=None)
 def builtin(name: str) -> SurfaceModel:
     if name == "p2":
-        model = _p2()
+        model = _del_pezzo(0)
     elif name.startswith("bl") and name.endswith("p2"):
         try:
             r = int(name[2:-2])

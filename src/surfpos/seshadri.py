@@ -18,9 +18,10 @@ from .lattice import (
     PointSpec,
     PolyCone,
     SurfaceModel,
+    int_pairing,
     pairing,
 )
-from .scalars import ExactScalar, rational_sqrt, vector
+from .scalars import ExactScalar, rational_sqrt, scaled, vector
 
 
 def seshadri_direct(model: SurfaceModel, a: Sequence,
@@ -38,7 +39,13 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
         raise NotNef("Seshadri constants need a nef class")
     bm, pullback, exc = infinitesimal.blow_up(model, x)
     ups = bm.curve_pairings(pullback(a))
-    best: ExactScalar = rational_sqrt(zariski.self_intersection(model, a))
+    # sqrt(A^2) = c*sqrt(A'^2) for A = c*A' with A' integral and primitive,
+    # as in the chamber walk: the root of kA factors no k^2
+    num, den = scaled(a)
+    g = math.gcd(*num) or 1
+    prim = [x // g for x in num]
+    best: ExactScalar = (Fraction(g, den)
+                         * rational_sqrt(int_pairing(model, prim, prim)))
     for n, m in bm.curve_pairings(bm.curve_class(exc)).items():
         if n != exc and m > 0:
             best = min(best, ups[n] / m)

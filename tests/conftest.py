@@ -1,9 +1,12 @@
-"""Shared fixtures: the model/flag/class test matrix and the independent
-per-t decomposition oracle used to cross-check chamber walks."""
+"""Shared fixtures: the model/flag/class test matrix, the independent
+per-t decomposition oracle used to cross-check chamber walks, and a
+wall-clock alarm for tests that must not factor large integers."""
 
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import surfpos as sp
@@ -103,6 +106,27 @@ def random_big(model, rng):
 
 def seeded_rng(salt: str) -> random.Random:
     return random.Random(f"surfpos-{salt}")
+
+
+@contextmanager
+def alarm(seconds: float, what: str):
+    """Fail the test with an AssertionError if the block runs past
+    ``seconds`` of wall time.  The handler's TimeoutError is not let out:
+    pytest cannot print a traceback through the interrupted frame when it
+    has no line number, as in a tight loop, and stops with INTERNALERROR."""
+    def expired(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        raise AssertionError(f"{what} ran past the {seconds} s alarm") \
+            from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def grid_points(poly, step=Fraction(1, 64)):

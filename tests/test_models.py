@@ -9,7 +9,6 @@ from surfpos.errors import InvariantViolation, SchemaError, UnknownModel
 from surfpos.infinitesimal import blow_up
 from surfpos.models import (
     BUILTIN_NAMES,
-    _distinct_permutations,
     _minus_one_classes,
     builtin,
     dumps_model,
@@ -58,11 +57,6 @@ def test_minus_one_enumeration_matches_permutation_sets():
     for r, n in EXPECTED_COUNTS.items():
         assert _minus_one_classes(r) == _minus_one_by_permutation_sets(r)
         assert len(_minus_one_classes(r)) == n
-    for items in [(), (0,), (2, 1, 1, 0, 0, 0), (3, 3, 2, 2, 2, 1, 1, 0),
-                  (1, 1, 1, 1)]:
-        got = list(_distinct_permutations(items))
-        assert len(got) == len(set(got))
-        assert set(got) == set(itertools.permutations(items))
 
 
 def test_minus_one_curves_are_minus_one():

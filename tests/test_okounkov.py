@@ -1,6 +1,5 @@
 import io
 import json
-import signal
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
@@ -29,6 +28,7 @@ from conftest import (
     BIG_CLASSES,
     FLAGS,
     MATRIX_MODELS,
+    alarm,
     assert_breakpoint_oracle,
     grid_points,
     matrix_configs,
@@ -142,18 +142,9 @@ def test_irrational_mu_of_a_large_prime_multiple_on_relative_model():
     12k^2.  For the prime k = 10^9 + 7, trial division up to the square
     root of what is left would run past the alarm to find k^2."""
     k = 10**9 + 7
-
-    def expired(signum, frame):
-        raise TimeoutError(f"polygon of {k}H ran past the alarm")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with alarm(1.0, f"polygon of {k}H"):
         poly = okounkov_polygon(relative_model(), (k, 0), "C",
                                 PointSpec(on_curve="C", generic=True))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert isinstance(poly.mu, Quad)
     assert (poly.mu.a, poly.mu.b, poly.mu.d) == (-k, k, 3)
 
@@ -193,17 +184,8 @@ def test_polygon_of_a_multiple_is_the_multiple_polygon(cls, flag, k):
     m = sp.builtin("bl3p2")
     point = PointSpec(on_curve=flag, generic=True)
     poly = okounkov_polygon(m, cls, flag, point)
-
-    def expired(signum, frame):
-        raise TimeoutError(f"polygon of {k}*{cls} ran past the alarm")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with alarm(1.0, f"polygon of {k}*{cls}"):
         scaled = okounkov_polygon(m, [k * x for x in cls], flag, point)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert scaled.nu == k * poly.nu and scaled.mu == k * poly.mu
     assert set(scaled.vertices) == {(k * t, k * y) for t, y in poly.vertices}
 
@@ -241,23 +223,9 @@ def test_values_of_a_multiple_are_the_multiple_values(case, k):
     name, cls, flag, point = case
     model = homogeneity_model(name)
     vertices, xi_d, eps_d = homogeneity_values(model, cls, flag, point)
-
-    def expired(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with alarm(1.0, f"values of {k}*{cls}"):
         scaled = homogeneity_values(model, [k * x for x in cls], flag,
                                     point)
-    except TimeoutError:
-        # pytest cannot print a traceback through the interrupted frame
-        # when it has no line number, as in a tight loop
-        raise AssertionError(
-            f"values of {k}*{cls} ran past the alarm") from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert scaled == ({(k * t, k * y) for t, y in vertices},
                       k * xi_d, k * eps_d), (name, cls, k)
 

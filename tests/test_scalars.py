@@ -1,5 +1,4 @@
 import operator
-import signal
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +9,7 @@ import surfpos.scalars as sc
 from surfpos.errors import MixedRadicands, NoRealRoot, NotSymmetric, SingularMatrix
 from surfpos.scalars import Quad, quad
 
-from conftest import seeded_rng
+from conftest import alarm, seeded_rng
 
 
 def test_quad_normalizes_to_rational():
@@ -24,18 +23,9 @@ def test_quad_perfect_square_needs_no_factoring():
     # k is a 41-digit prime: trial division of k^2 would run for ages,
     # so the alarm fails the test unless isqrt settles the square first
     k = 10**40 + 121
-
-    def expired(signum, frame):
-        raise TimeoutError("quad factored a perfect square")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with alarm(2.0, "quad of a perfect square"):
         assert quad(0, 1, k * k) == Fraction(k)
         assert quad(1, 3, Fraction(k * k, 4)) == 1 + Fraction(3 * k, 2)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _square_free_to_sqrt(n):

@@ -16,7 +16,7 @@ from surfpos.seshadri import (
     seshadri_direct,
 )
 
-from conftest import seeded_rng
+from conftest import alarm, seeded_rng
 
 
 def test_seshadri_direct_examples():
@@ -27,6 +27,15 @@ def test_seshadri_direct_examples():
     assert seshadri_direct(b1, (2, -1)) == 1
     b2 = sp.builtin("bl2p2")
     assert seshadri_direct(b2, (3, -1, -1)) == 2
+
+
+@pytest.mark.parametrize("k", [10**9 + 7, 10**40 + 121])
+def test_seshadri_cap_of_a_large_prime_multiple_factors_no_square(k):
+    """The cap sqrt((kA)^2) = k*sqrt(A^2) of A = 3H - E on bl1p2 has 8k^2
+    under the root; for a prime k, trial division of 8k^2 would run past
+    the alarm, or raise OutOfRange, before F = H - E gives 2k."""
+    with alarm(1.0, f"seshadri_direct of {k}*(3H - E)"):
+        assert seshadri_direct(sp.builtin("bl1p2"), (3 * k, -k)) == 2 * k
 
 
 def test_seshadri_rejects_non_nef():
