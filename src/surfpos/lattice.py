@@ -16,9 +16,12 @@ the row gram . C of each listed curve C, built on first use and read by
 return Fractions, and by :meth:`SurfaceModel.curve_dots`, which pairs an
 integer vector and returns integers.  :func:`pairing` pairs two arbitrary
 classes, and :func:`int_pairing` two integer vectors.  A model also keeps
-the integer row gram . A of its ample reference when that row pairs
-non-negatively with every effective generator: a class it pairs
-negatively with is not pseudo-effective.
+one Farkas table of integer rows that pair non-negatively with every
+effective generator: a class a row pairs negatively with is not
+pseudo-effective.  A simplicial cone, spanned by rho independent
+generators, is decided by its facet rows both ways; on any other cone the
+table is the row gram . A of the ample reference, when that row
+qualifies, and :func:`cone_contains` decides what it does not refuse.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     InconsistentMultiplicities,
     InvariantViolation,
     NotFullDimensional,
+    SingularMatrix,
 )
 from .scalars import primitive, rank, scaled, vector
 
@@ -223,6 +227,30 @@ class SurfaceModel(_ModelFields):
         if all(sum(map(mul, w, g)) >= 0 for g in self._generator_classes()):
             return w
         return None
+
+    @cached_property
+    def _farkas(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """Integer rows w, each pairing non-negatively with every effective
+        generator, and whether they decide membership both ways.
+
+        When the generators are rho independent vectors, the rows are
+        those of B^-1 scaled to integers, for B with the generators as
+        columns: w_i . g_j = c_i * delta_ij with c_i > 0, so d lies in the
+        cone iff every w_i . d >= 0, and the table is complete.  Otherwise
+        it holds the ample row alone, when there is one, and is incomplete:
+        a class it does not refuse goes to the LP."""
+        gens = self._generator_classes()
+        # a generator of the wrong length is left to the LP
+        if len(gens) == self.rank and all(len(g) == self.rank
+                                          for g in gens):
+            try:
+                inv = scalars.inverse(list(zip(*gens)))
+            except SingularMatrix:
+                pass
+            else:
+                return tuple(tuple(scaled(row)[0]) for row in inv), True
+        w = self._ample_row
+        return (() if w is None else (w,)), False
 
     def gram_submatrix(self, names: Sequence[str]
                        ) -> tuple[tuple[int, ...], ...]:

@@ -130,8 +130,6 @@ def _del_pezzo(r: int) -> SurfaceModel:
 
 
 def _hirzebruch(n: int) -> SurfaceModel:
-    if n < 0:
-        raise UnknownModel(f"hirzebruch-{n}")
     gram = ((-n, 1), (1, 0))
     families = (GenericFamily(cls=(0, 1), mult=1, name_hint="f"),)
     if n == 0:  # on P1 x P1 the ruling C0 moves too
@@ -192,24 +190,19 @@ def _example_interesting_base() -> SurfaceModel:
         "family": "del-pezzo", "r": "1", "default_point": "on-E-tangent"})
 
 
+# the numbered builtins, spelled one way only: ASCII digits with no sign,
+# space, underscore or leading zero
+_NUMBERED = re.compile(r"bl([1-8])p2|hirzebruch-(0|[1-9][0-9]*)")
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str) -> SurfaceModel:
+    numbered = _NUMBERED.fullmatch(name)
     if name == "p2":
         model = _del_pezzo(0)
-    elif name.startswith("bl") and name.endswith("p2"):
-        try:
-            r = int(name[2:-2])
-        except ValueError:
-            raise UnknownModel(name) from None
-        if not 1 <= r <= 8:
-            raise UnknownModel(name)
-        model = _del_pezzo(r)
-    elif name.startswith("hirzebruch-"):
-        try:
-            n = int(name.split("-", 1)[1])
-        except ValueError:
-            raise UnknownModel(name) from None
-        model = _hirzebruch(n)
+    elif numbered:
+        r, n = numbered.groups()
+        model = _del_pezzo(int(r)) if r else _hirzebruch(int(n))
     elif name == "example-interesting":
         model = _example_interesting()
     elif name == "example-interesting-base":

@@ -63,14 +63,16 @@ class LocusReport(NamedTuple):
 
 
 def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
-    """Whether d lies in the effective cone.  A class that the model's
-    ample row pairs negatively with is refused by that certificate, on
-    integers; every other class is decided by the LP."""
+    """Whether d lies in the effective cone.  A class that a row of the
+    model's Farkas table pairs negatively with is refused, on integers.
+    On a simplicial cone the table's facet rows also accept every other
+    class; elsewhere the LP decides it."""
     d = model.divisor(d)
-    w = model._ample_row
-    if w is not None and sum(map(mul, w, scaled(d)[0])) < 0:
+    rows, complete = model._farkas
+    num = scaled(d)[0]
+    if any(sum(map(mul, w, num)) < 0 for w in rows):
         return False
-    return cone_contains(model.effective_gens(), d)
+    return complete or cone_contains(model.effective_gens(), d)
 
 
 class Chamber(NamedTuple):

@@ -185,6 +185,9 @@ def test_cli_domain_error_json():
                               "--divisor", "H"])
     assert code3 == 1
     assert json.loads(err3)["error"] == "unknown-model"
+    code4, _, err4 = run_cli(["check", "--model", "builtin:hirzebruch-1_0"])
+    assert code4 == 1
+    assert json.loads(err4)["error"] == "unknown-model"
 
 
 def _example_doc_with_mult(mult):

@@ -171,12 +171,12 @@ def test_lp_near_minus_k_takes_at_most_rank_plus_one_pivots(
     assert counts == {"lp": m.rank, "fixpoint": 0}
 
 
-@pytest.mark.parametrize("name, d", [("bl8p2", None),
-                                     ("hirzebruch-3", (2, 3))])
+@pytest.mark.parametrize("name, d", [("bl8p2", None), ("bl1p2", (2, -1))])
 def test_tableau_stores_no_artificial_column(pivot_widths, name, d):
     """A tableau row and the objective row hold one entry per generator
     and the right-hand side: the artificial columns, which never enter,
-    are not stored.  d = None is -K."""
+    are not stored.  d = None is -K.  bl1p2 has 3 generators in rank 2,
+    so its cone is not simplicial and the LP runs."""
     m = sp.builtin(name)
     d = anti_canonical(m) if d is None else m.divisor(d)
     assert zariski.is_pseudo_effective(m, d)
@@ -194,6 +194,21 @@ def test_ample_row_refuses_a_class_without_an_lp(counts):
         "(-1, 0, 0, 0, 0, 0, 0, 0) is not in the effective cone"
     assert not sp.is_big(m, d)
     assert counts == {"lp": 0, "fixpoint": 0}
+
+
+@pytest.mark.parametrize("name, d, lps", [
+    ("hirzebruch-0", (1, 1), 0), ("hirzebruch-3", (2, 3), 0),
+    ("hirzebruch-7", (1, -1), 0), ("example-interesting", (2, 1, 1), 0),
+    ("example-interesting", (1, -1, 0), 0), ("bl3p2", (3, -1, -1, -1), 1)])
+def test_simplicial_cone_decides_without_an_lp(counts, name, d, lps):
+    """The effective cones of hirzebruch-n and example-interesting are
+    spanned by rho independent curves, so the facet rows of the model's
+    Farkas table decide every class both ways.  bl3p2 has 7 generators
+    in rank 4: a class its ample row cannot refuse still runs one LP."""
+    m = sp.builtin(name)
+    assert zariski.is_pseudo_effective(m, m.divisor(d)) == \
+        lattice.cone_contains(m.effective_gens(), d)
+    assert counts["lp"] == lps
 
 
 def test_class_the_ample_row_cannot_refuse_runs_one_lp(counts):
@@ -281,10 +296,12 @@ def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
 def test_moving_seshadri_on_a_locus_runs_no_walk(counts, walks, name, d, x,
                                                  status):
     """Neg(D) and Null(D) are read off the decomposition that decided
-    bigness: one LP, one fixpoint, one blow-up and no walk."""
+    bigness: one fixpoint, one blow-up and no walk.  Bigness takes one LP
+    on bl1p2 and none on example-interesting, whose effective cone is
+    simplicial."""
     m = sp.builtin(name)
     assert sp.moving_seshadri(m, d, x(m)).status is status
-    assert counts == {"lp": 1, "fixpoint": 1}
+    assert counts == {"lp": int(name == "bl1p2"), "fixpoint": 1}
     assert walks == {"walk": 0, "blowup": 1}
 
 

@@ -182,6 +182,24 @@ def test_unknown_model():
         builtin("nonsense")
 
 
+@pytest.mark.parametrize("name", [
+    "hirzebruch-1_0", "bl 3p2", "hirzebruch-+3", "bl08p2", "hirzebruch-03",
+    "hirzebruch-\u0663", "bl\uff13p2", "hirzebruch- 3", "hirzebruch-3 ",
+    "hirzebruch--3", "hirzebruch-", "bl0p2", "blp2", "hirzebruch-00"])
+def test_builtin_names_have_one_spelling(name):
+    """A numbered builtin is spelled with ASCII digits and no sign, space,
+    underscore or leading zero, although int() reads a number out of most
+    of the names here."""
+    with pytest.raises(UnknownModel):
+        builtin(name)
+
+
+def test_one_spelling_is_one_instance():
+    assert builtin("hirzebruch-10") is builtin("hirzebruch-10")
+    assert builtin("hirzebruch-0").gram == ((0, 1), (1, 0))
+    assert builtin("bl8p2").rank == 9
+
+
 def test_blow_up_compatibility_with_builtins():
     """Blowing up bl_r at a generic point reproduces bl_{r+1}: same Gram,
     same negative-curve classes, same effective cone, same ample class."""

@@ -12,7 +12,10 @@ coordinates in the basis (H, E_1, ..., E_r) and read nothing from
   the renaming of curves that w induces, and D is pseudo-effective
   exactly when w.D is;
 - w permutes the extreme rays and facet normals of the nef cone on
-  bl5p2, bl6p2 and bl7p2.
+  bl5p2, bl6p2 and bl7p2;
+- the Newton-Okounkov polygon is invariant: polygon(w.D, w(C), w(x)) =
+  polygon(D, C, x) for a (-1)-curve C, with x generic on C or at C cap C'
+  for a (-1)-curve C' that meets C.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 import surfpos as sp
 from surfpos.errors import NotPseudoEffective
-from surfpos.lattice import dual_cone, pairing
+from surfpos.lattice import PointSpec, dual_cone, pairing
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=20)
@@ -134,3 +137,31 @@ def test_weyl_group_permutes_the_nef_cone(data):
     cone = nef_cone(r)
     for part in (cone.generators, cone.facet_normals):
         assert {act(word, v) for v in part} == set(part), word
+
+
+@settings(SETTINGS, max_examples=10)
+@given(st.data())
+def test_polygon_is_weyl_invariant(data):
+    _, model, word = del_pezzo(data)
+    rename = minus_one_renaming(model, word)
+    minus_one = sorted(rename)
+    # -K plus a few (-1)-curves: big, and not nef when a coefficient is
+    # large
+    d = [-x for x in model.canonical]
+    for _ in range(data.draw(st.integers(0, 3))):
+        c = model.curve_class(data.draw(st.sampled_from(minus_one)))
+        k = Fraction(data.draw(st.integers(1, 6)), 2)
+        d = [x + k * y for x, y in zip(d, c)]
+    flag = data.draw(st.sampled_from(minus_one))
+    met = [n for n in minus_one if n != flag and model.meet(n, flag) > 0]
+    other = data.draw(st.sampled_from([None] + met))
+    point, moved_point = (
+        PointSpec(on_curve=c, local_mults={} if o is None else {o: 1},
+                  generic=o is None)
+        for c, o in ((flag, other),
+                     (rename[flag], other and rename[other])))
+    base = sp.okounkov_polygon(model, d, flag, point)
+    moved = sp.okounkov_polygon(model, act(word, d), rename[flag],
+                                moved_point)
+    assert (moved.nu, moved.mu) == (base.nu, base.mu), (d, word, flag)
+    assert set(moved.vertices) == set(base.vertices), (d, word, flag)
