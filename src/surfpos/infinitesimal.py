@@ -373,8 +373,4 @@ def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,
 def vertex_t_coordinates(poly: NOPolygon) -> list[ExactScalar]:
     """Sorted distinct t-coordinates of the polygon vertices; these agree
     across all choices of y on the exceptional curve."""
-    seen: list[ExactScalar] = []
-    for t, _ in poly.vertices:
-        if not any(t == s for s in seen):
-            seen.append(t)
-    return sorted(seen)
+    return sorted({t for t, _ in poly.vertices})

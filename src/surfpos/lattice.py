@@ -20,8 +20,11 @@ one Farkas table of integer rows that pair non-negatively with every
 effective generator: a class a row pairs negatively with is not
 pseudo-effective.  A simplicial cone, spanned by rho independent
 generators, is decided by its facet rows both ways; on any other cone the
-table is the row gram . A of the ample reference, when that row
+table holds the row gram . A of the ample reference, when that row
 qualifies, and :func:`cone_contains` decides what it does not refuse.
+:func:`validate_model` checks that the ample and canonical classes and
+every declared generator have rho entries, so the table and the LP read
+classes of the model's rank only.
 """
 
 from __future__ import annotations
@@ -215,20 +218,6 @@ class SurfaceModel(_ModelFields):
         return self._effective_gens
 
     @cached_property
-    def _ample_row(self) -> Optional[tuple[int, ...]]:
-        """The integer row w = gram . A, for A the ample reference scaled
-        to integers, when w . g >= 0 for every effective generator g, else
-        None.  Then w pairs non-negatively with the whole effective cone,
-        so w . d < 0 certifies that d lies outside it (Farkas).  Listed
-        curves are paired on integers, so that a model of a few hundred
-        curves pays well under a millisecond for the row."""
-        num = scaled(self.ample_ref)[0]
-        w = tuple(sum(map(mul, row, num)) for row in self.gram)
-        if all(sum(map(mul, w, g)) >= 0 for g in self._generator_classes()):
-            return w
-        return None
-
-    @cached_property
     def _farkas(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
         """Integer rows w, each pairing non-negatively with every effective
         generator, and whether they decide membership both ways.
@@ -237,20 +226,24 @@ class SurfaceModel(_ModelFields):
         those of B^-1 scaled to integers, for B with the generators as
         columns: w_i . g_j = c_i * delta_ij with c_i > 0, so d lies in the
         cone iff every w_i . d >= 0, and the table is complete.  Otherwise
-        it holds the ample row alone, when there is one, and is incomplete:
-        a class it does not refuse goes to the LP."""
+        it is incomplete, and holds the row w = gram . A, for A the ample
+        reference scaled to integers, when w . g >= 0 for every generator
+        g: then w pairs non-negatively with the whole effective cone, so
+        w . d < 0 certifies that d lies outside it (Farkas).  A class the
+        table does not refuse goes to the LP."""
         gens = self._generator_classes()
-        # a generator of the wrong length is left to the LP
-        if len(gens) == self.rank and all(len(g) == self.rank
-                                          for g in gens):
+        if len(gens) == self.rank:
             try:
                 inv = scalars.inverse(list(zip(*gens)))
             except SingularMatrix:
                 pass
             else:
                 return tuple(tuple(scaled(row)[0]) for row in inv), True
-        w = self._ample_row
-        return (() if w is None else (w,)), False
+        num = scaled(self.ample_ref)[0]
+        w = tuple(sum(map(mul, row, num)) for row in self.gram)
+        if all(sum(map(mul, w, g)) >= 0 for g in gens):
+            return (w,), False
+        return (), False
 
     def gram_submatrix(self, names: Sequence[str]
                        ) -> tuple[tuple[int, ...], ...]:
@@ -291,7 +284,9 @@ def self_intersection(model: SurfaceModel, d: Sequence) -> Fraction:
 
 
 def validate_model(model: SurfaceModel) -> None:
-    """Re-check every structural invariant; raises InvariantViolation.
+    """Re-check every structural invariant; raises InvariantViolation, or
+    DimensionMismatch when the ample class, the canonical class or a
+    declared effective generator does not have rho entries.
 
     The Hodge index theorem, signature (1, rho-1), is checked on the ample
     reference A: A^2 > 0, and the form is negative definite on A-perp by
@@ -312,6 +307,11 @@ def validate_model(model: SurfaceModel) -> None:
         if not all(isinstance(x, int) for x in (*c.cls, c.self_int)):
             raise InvariantViolation("curve integral",
                                      f"{c.name} has a non-integer entry")
+    classes = [model.ample_ref, *(model.effective_generators or ())]
+    if model.canonical is not None:
+        classes.append(model.canonical)
+    if any(len(v) != rho for v in classes):
+        raise DimensionMismatch("divisor dimension does not match model rank")
     if self_intersection(model, model.ample_ref) <= 0:
         raise InvariantViolation("ample reference", "non-positive square")
     # A-perp has the integer basis w_j = a_i e_j - a_j e_i (j != i), where

@@ -237,32 +237,24 @@ def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
 
 
 def _vertices(nu, mu, pieces: Sequence[PolygonPiece]) -> tuple[Point, ...]:
-    lower: list[Point] = []
-    upper: list[Point] = []
-    for p in pieces:
-        lower.append((p.t_lo, _ev(p.alpha, p.t_lo)))
-        upper.append((p.t_lo, _ev(p.beta, p.t_lo)))
-    last = pieces[-1]
-    lower.append((mu, _ev(last.alpha, mu)))
-    upper.append((mu, _ev(last.beta, mu)))
-    cycle = lower + upper[::-1]
-    # dedupe then drop collinear triples, all with exact arithmetic
+    """The vertex cycle: the lower chain alpha left to right, then the
+    upper chain beta right to left.  alpha is convex and beta concave, and
+    each is affine on every piece, of positive length, so the boundary
+    point at a piece's t_lo is a vertex exactly when the slope of that
+    chain changes there."""
+    def chain(fs: Sequence[Affine]) -> list[Point]:
+        return [(p.t_lo, _ev(f, p.t_lo))
+                for p, f, g in zip(pieces, fs, (None, *fs))
+                if g is None or f[1] != g[1]] + [(mu, _ev(fs[-1], mu))]
+
+    cycle = (chain([p.alpha for p in pieces])
+             + chain([p.beta for p in pieces])[::-1])
     out: list[Point] = []
     for pt in cycle:
         if not out or out[-1] != pt:
             out.append(pt)
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for i in range(len(out)):
-            a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross == 0:
-                out.pop(i)
-                changed = True
-                break
     return tuple(out)
 
 

@@ -284,6 +284,13 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
       "--point"], {"mults": {"E1": 1}, "extra_curves": [
           {"name": "T", "class": [1, -1, 0, -17 * 10**15]}]}),
     MULT_3_IN_NEG, MULT_3_IN_NULL,
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(
+        effective_generators=[["0", "1", "0"], ["0", "0", "1"], ["1", "-1"]])),
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(
+        effective_generators=[["0", "1", "0"], ["0", "0", "1"],
+                              ["1", "-1", "-1", "0"]])),
+    (["check", "--model"], _bl2p2_doc(canonical=["-3", "1"])),
+    (["blowup", "--model"], _bl2p2_doc(canonical=["-3", "1"])),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
@@ -298,7 +305,9 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         "point-mult-exponent", "model-r-exponent", "deg-exponent",
         "mult-3-on-a-smooth-rational-curve", "mult-10^17",
         "extra-curve-negative-genus", "extra-curve-negative-genus-seshadri",
-        "mult-3-seshadri-in-neg", "mult-3-seshadri-in-null"])
+        "mult-3-seshadri-in-neg", "mult-3-seshadri-in-null",
+        "model-generator-short", "model-generator-long",
+        "model-canonical-short-check", "model-canonical-short-blowup"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -306,7 +315,9 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     multiplicity 1 or 0.  A number in exponent notation is refused as it
     is read, not expanded to all its digits.  No point of the smooth
     rational curve E1 has multiplicity 3 or 10^17, and no curve has a class
-    of negative arithmetic genus (adjunction)."""
+    of negative arithmetic genus (adjunction).  A model's canonical class
+    and declared generators are refused on load unless they have rank
+    entries."""
     if spec is not None:
         path = tmp_path / "spec.json"
         if isinstance(spec, bytes):

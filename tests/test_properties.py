@@ -440,7 +440,7 @@ def test_pseudo_effectivity_verdict_equals_the_lp(which, data, sign):
     the row, except the one whose declared generator pairs negatively
     with A."""
     model = certificate_model(*which)
-    assert (model._ample_row is None) == (which[1] == "declared-negative")
+    assert (model._farkas == ((), False)) == (which[1] == "declared-negative")
     a = model.ample_ref
     raw = [data.draw(st.fractions(min_value=-3, max_value=3,
                                   max_denominator=3))
