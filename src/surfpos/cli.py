@@ -8,7 +8,9 @@ machine-readable error object on stderr), 2 usage error.
 A process loads only what its subcommand runs: the parser gives arguments
 to that subcommand alone, :func:`run` decodes every input before it
 dispatches, and each branch imports the modules it calls, so a malformed
-input is rejected before any of them loads.
+input is rejected before any of them loads.  Each branch builds one
+document, and :func:`run` writes every output after the branches: the
+JSON, then the SVG and the CSV of a polygon when asked for.
 """
 
 from __future__ import annotations
@@ -100,15 +102,14 @@ def enc_vec(v):
     return [enc_scalar(x) for x in v]
 
 
-def enc_polygon(poly: NOPolygon, extra=None) -> dict:
+def enc_polygon(poly: NOPolygon, extra: dict) -> dict:
     from .okounkov import polygon_area
 
-    doc = {
+    return {
         "flag_curve": poly.flag_curve,
         "nu": enc_scalar(poly.nu),
         "mu": enc_scalar(poly.mu),
-        "vertices": [[enc_scalar(t), enc_scalar(y)]
-                     for t, y in _canonical_vertices(poly)],
+        "vertices": [[enc_scalar(t), enc_scalar(y)] for t, y in poly.vertices],
         "area": enc_scalar(polygon_area(poly)),
         "pieces": [
             {"t_lo": enc_scalar(p.t_lo), "t_hi": enc_scalar(p.t_hi),
@@ -116,18 +117,8 @@ def enc_polygon(poly: NOPolygon, extra=None) -> dict:
              "support": list(p.support)}
             for p in poly.pieces
         ],
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _canonical_vertices(poly: NOPolygon):
-    """Counterclockwise cycle starting at the smallest vertex (exact
-    lexicographic comparison)."""
-    verts = list(poly.vertices)
-    start = verts.index(min(verts))
-    return verts[start:] + verts[:start]
 
 
 def _write(text: str, target: str) -> None:
@@ -139,7 +130,7 @@ def _write(text: str, target: str) -> None:
 
 def emit(doc: dict, args) -> None:
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-           getattr(args, "json", None) or "-")
+           args.json or "-")
 
 
 def emit_csv(poly: NOPolygon, path: str) -> None:
@@ -156,7 +147,7 @@ def emit_csv(poly: NOPolygon, path: str) -> None:
     _write("\n".join(rows) + "\n", path)
 
 
-def emit_svg(poly: NOPolygon, path: str, overlay=None) -> None:
+def emit_svg(poly: NOPolygon, path: str, overlay: tuple) -> None:
     """Render the polygon; floats appear here only, never upstream."""
     pts = [(float(t), float(y)) for t, y in poly.vertices]
     max_t = max(p[0] for p in pts) or 1.0
@@ -176,17 +167,16 @@ def emit_svg(poly: NOPolygon, path: str, overlay=None) -> None:
         f'<line x1="{pad:.3f}" y1="{H - pad:.3f}" x2="{fmt(min(max_t, max_y), min(max_t, max_y))}" stroke="#bbb" stroke-dasharray="4"/>',
         f'<path d="{path_d}" fill="#9ecae1" fill-opacity="0.6" stroke="#3182bd"/>',
     ]
-    if overlay:
-        kind, size = overlay
-        size = float(size)
-        if size > 0:
-            if kind == "simplex":
-                tri = [(0.0, 0.0), (size, 0.0), (0.0, size)]
-            else:
-                tri = [(0.0, 0.0), (size, 0.0), (size, size)]
-            d = "M " + " L ".join(fmt(x, y) for x, y in tri) + " Z"
-            parts.append(f'<path d="{d}" fill="none" stroke="#e6550d" '
-                         f'stroke-width="1.5"/>')
+    kind, size = overlay
+    size = float(size)
+    if size > 0:
+        if kind == "simplex":
+            tri = [(0.0, 0.0), (size, 0.0), (0.0, size)]
+        else:
+            tri = [(0.0, 0.0), (size, 0.0), (size, size)]
+        d = "M " + " L ".join(fmt(x, y) for x, y in tri) + " Z"
+        parts.append(f'<path d="{d}" fill="none" stroke="#e6550d" '
+                     f'stroke-width="1.5"/>')
     parts.append("</svg>")
     _write("\n".join(parts) + "\n", path)
 
@@ -341,7 +331,7 @@ def run(argv=None) -> int:
     # argparse runs the first token not read as an option
     command = next((t for t in argv if t[:1] != "-"), None)
     args = build_parser(command).parse_args(argv)
-    model = d = flag = point = y = None
+    model = d = flag = point = y = degree = target = poly = overlay = None
     if getattr(args, "model", None):
         model = models.resolve_model(args.model)
     # every input is decoded here, in this order, before any dispatch
@@ -353,88 +343,86 @@ def run(argv=None) -> int:
         point = _resolve_blowup_point(args.point, model)
     if hasattr(args, "y"):
         y = _resolve_y(args.y)
+    if hasattr(args, "deg"):
+        degree, target = _dec_frac(args.deg), _dec_frac(args.target)
     cmd = args.command
 
     if cmd == "zariski":
         from . import zariski
         pair = zariski.zariski_decompose(model, d)
         vol = zariski.self_intersection(model, pair.P)
-        emit({"P": enc_vec(pair.P),
-              "N": {n: enc_scalar(a) for n, a in pair.N_coeffs.items()},
-              "support": list(pair.support),
-              "relative": pair.relative,
-              "volume": enc_scalar(vol),
-              "nef": zariski.is_nef(model, d),
-              "ample": zariski.is_ample(model, d),
-              "big": vol > 0}, args)
+        doc = {"P": enc_vec(pair.P),
+               "N": {n: enc_scalar(a) for n, a in pair.N_coeffs.items()},
+               "support": list(pair.support),
+               "relative": pair.relative,
+               "volume": enc_scalar(vol),
+               "nef": zariski.is_nef(model, d),
+               "ample": zariski.is_ample(model, d),
+               "big": vol > 0}
     elif cmd == "loci":
         from . import zariski
         rep = zariski.loci(model, d)
-        emit({"null": sorted(rep.null_curves),
-              "neg": sorted(rep.neg_curves),
-              "relative": rep.relative}, args)
+        doc = {"null": sorted(rep.null_curves),
+               "neg": sorted(rep.neg_curves),
+               "relative": rep.relative}
     elif cmd == "polygon":
         from . import okounkov
         res = okounkov.criterion_at_point(model, d, flag, point)
-        poly = res["polygon"]
-        emit(enc_polygon(poly, {"origin_in": res["origin_in"],
-                                "lambda": enc_scalar(res["lambda"])}), args)
-        if args.svg:
-            emit_svg(poly, args.svg, overlay=("simplex", res["lambda"]))
-        if args.csv:
-            emit_csv(poly, args.csv)
+        poly, overlay = res["polygon"], ("simplex", res["lambda"])
+        doc = enc_polygon(poly, {"origin_in": res["origin_in"],
+                                 "lambda": enc_scalar(res["lambda"])})
     elif cmd == "infinitesimal":
         from . import infinitesimal
         poly, xi_val = infinitesimal._polygon_and_xi(model, d, point, y)
-        extra = {"mu_prime": enc_scalar(poly.mu),
-                 "xi": None if xi_val is None else enc_scalar(xi_val)}
-        emit(enc_polygon(poly, extra), args)
-        if args.svg:
-            emit_svg(poly, args.svg,
-                     overlay=("inverted", xi_val or 0))
-        if args.csv:
-            emit_csv(poly, args.csv)
+        overlay = ("inverted", xi_val or 0)
+        doc = enc_polygon(poly, {
+            "mu_prime": enc_scalar(poly.mu),
+            "xi": None if xi_val is None else enc_scalar(xi_val)})
     elif cmd == "seshadri":
         from . import seshadri
         eps = seshadri.seshadri_direct(model, d, point)
-        emit({"epsilon": enc_scalar(eps)}, args)
+        doc = {"epsilon": enc_scalar(eps)}
     elif cmd == "moving-seshadri":
         from . import infinitesimal
         res = infinitesimal.moving_seshadri(model, d, point)
-        emit({"status": res.status.value,
-              "value": None if res.value is None else enc_scalar(res.value)},
-             args)
+        doc = {"status": res.status.value,
+               "value": None if res.value is None else enc_scalar(res.value)}
     elif cmd == "lambda":
         from . import seshadri
         lam = seshadri.largest_simplex_flag(model, d, flag, point)
-        emit({"lambda": enc_scalar(lam)}, args)
+        doc = {"lambda": enc_scalar(lam)}
     elif cmd == "nefcone":
         cone = lattice.dual_cone(model.effective_gens(), model)
-        emit({"rays": [list(r) for r in cone.generators],
-              "facet_normals": [list(f) for f in cone.facet_normals]}, args)
+        doc = {"rays": [list(r) for r in cone.generators],
+               "facet_normals": [list(f) for f in cone.facet_normals]}
     elif cmd == "freemult":
         from . import seshadri
         cone = lattice.dual_cone(model.effective_gens(), model)
-        emit({"m": seshadri.free_multiple(cone, d, model)}, args)
+        doc = {"m": seshadri.free_multiple(cone, d, model)}
     elif cmd == "genericbound":
-        degree, target = _dec_frac(args.deg), _dec_frac(args.target)
         from . import seshadri
         query = seshadri.GenericBoundQuery(
             degree=degree, target=target, exclude_q1=args.exclude_q1)
         res = seshadri.generic_seshadri_bound(query)
-        emit({"holds": res.holds,
-              "witnesses": [list(w) for w in res.witnesses],
-              "q_range": list(res.q_range)}, args)
+        doc = {"holds": res.holds,
+               "witnesses": [list(w) for w in res.witnesses],
+               "q_range": list(res.q_range)}
     elif cmd == "blowup":
         from . import infinitesimal
         bm, _, exc = infinitesimal.blow_up(model, point)
         doc = models.model_to_dict(bm)
         doc["exceptional"] = exc
-        emit(doc, args)
     elif cmd == "check":
         checks = run_checks(model)
-        emit({"ok": all(ok for _, ok in checks),
-              "checks": [{"name": n, "ok": ok} for n, ok in checks]}, args)
+        doc = {"ok": all(ok for _, ok in checks),
+               "checks": [{"name": n, "ok": ok} for n, ok in checks]}
+
+    # every output is written here, JSON first
+    emit(doc, args)
+    if getattr(args, "svg", None):
+        emit_svg(poly, args.svg, overlay)
+    if getattr(args, "csv", None):
+        emit_csv(poly, args.csv)
     return 0
 
 
@@ -449,14 +437,10 @@ def run_checks(model: SurfaceModel) -> list[tuple[str, bool]]:
     if len(gens) <= 40 and model.rank <= 7:
         try:
             cone = lattice.dual_cone(gens, model)
-            back = lattice.dual_cone(
-                [tuple(map(Fraction, r)) for r in cone.generators], model)
-            ok = all(lattice.cone_contains(gens, tuple(map(Fraction, r)))
-                     for r in back.generators)
-            ok = ok and all(
-                lattice.cone_contains(
-                    [tuple(map(Fraction, r)) for r in back.generators], g)
-                for g in gens)
+            back = lattice.dual_cone(cone.generators, model)
+            ok = all(lattice.cone_contains(gens, r) for r in back.generators)
+            ok = ok and all(lattice.cone_contains(back.generators, g)
+                            for g in gens)
             checks.append(("dual-cone-round-trip", ok))
         except SurfposError:
             checks.append(("dual-cone-round-trip", False))

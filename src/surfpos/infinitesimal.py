@@ -167,7 +167,7 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
                     curves.append(CurveRecord(name=next(fresh), cls=cls,
                                               self_int=-1, is_rational=True))
                     present.add(cls)
-            ample = tuple(map(Fraction, (3,) + (-1,) * (r + 1)))
+            ample = scalars.vector((3,) + (-1,) * (r + 1))
             ample_is_ample = True
     canonical = None
     if model.canonical is not None:

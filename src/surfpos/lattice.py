@@ -22,9 +22,10 @@ pseudo-effective.  A simplicial cone, spanned by rho independent
 generators, is decided by its facet rows both ways; on any other cone the
 table holds the row gram . A of the ample reference, when that row
 qualifies, and :func:`cone_contains` decides what it does not refuse.
-:func:`validate_model` checks that the ample and canonical classes and
-every declared generator have rho entries, so the table and the LP read
-classes of the model's rank only.
+:func:`validate_model` checks on load that the ample and canonical
+classes, every declared generator and every curve and family class have
+rho entries, so the tables and the LP read classes of the model's rank
+only, and that every generic family has multiplicity at least 1.
 """
 
 from __future__ import annotations
@@ -160,9 +161,6 @@ class SurfaceModel(_ModelFields):
     @cached_property
     def _curve_table(self) -> dict[str, tuple[CurveRecord, tuple[int, ...]]]:
         """Each listed curve and its integer row gram . C, by name."""
-        if any(len(c.cls) != self.rank for c in self.curves):
-            raise DimensionMismatch(
-                "divisor dimension does not match model rank")
         return {c.name: (c, tuple(sum(map(mul, row, c.cls))
                                   for row in self.gram)) for c in self.curves}
 
@@ -285,8 +283,9 @@ def self_intersection(model: SurfaceModel, d: Sequence) -> Fraction:
 
 def validate_model(model: SurfaceModel) -> None:
     """Re-check every structural invariant; raises InvariantViolation, or
-    DimensionMismatch when the ample class, the canonical class or a
-    declared effective generator does not have rho entries.
+    DimensionMismatch when the ample class, the canonical class, a declared
+    effective generator, a curve class or a generic family's class does
+    not have rho entries.  A generic family's multiplicity is at least 1.
 
     The Hodge index theorem, signature (1, rho-1), is checked on the ample
     reference A: A^2 > 0, and the form is negative definite on A-perp by
@@ -307,11 +306,15 @@ def validate_model(model: SurfaceModel) -> None:
         if not all(isinstance(x, int) for x in (*c.cls, c.self_int)):
             raise InvariantViolation("curve integral",
                                      f"{c.name} has a non-integer entry")
-    classes = [model.ample_ref, *(model.effective_generators or ())]
+    classes = [model.ample_ref, *(model.effective_generators or ()),
+               *(c.cls for c in model.curves),
+               *(f.cls for f in model.generic_families)]
     if model.canonical is not None:
         classes.append(model.canonical)
     if any(len(v) != rho for v in classes):
         raise DimensionMismatch("divisor dimension does not match model rank")
+    if any(f.mult < 1 for f in model.generic_families):
+        raise InvariantViolation("generic family", "multiplicity below 1")
     if self_intersection(model, model.ample_ref) <= 0:
         raise InvariantViolation("ample reference", "non-positive square")
     # A-perp has the integer basis w_j = a_i e_j - a_j e_i (j != i), where

@@ -238,7 +238,9 @@ def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
 
 def _vertices(nu, mu, pieces: Sequence[PolygonPiece]) -> tuple[Point, ...]:
     """The vertex cycle: the lower chain alpha left to right, then the
-    upper chain beta right to left.  alpha is convex and beta concave, and
+    upper chain beta right to left.  So the cycle runs counterclockwise
+    from its least vertex (nu, alpha(nu)): no vertex has t < nu, and
+    alpha(nu) <= beta(nu).  alpha is convex and beta concave, and
     each is affine on every piece, of positive length, so the boundary
     point at a piece's t_lo is a vertex exactly when the slope of that
     chain changes there."""
@@ -274,8 +276,7 @@ def polygon_area(poly: NOPolygon) -> ExactScalar:
         x1, y1 = v[i]
         x2, y2 = v[(i + 1) % len(v)]
         total = total + (x1 * y2 - x2 * y1)
-    area = total / 2
-    return -area if area < 0 else area
+    return total / 2
 
 
 def vertical_slice(poly: NOPolygon, t) -> tuple[ExactScalar, ExactScalar]:

@@ -291,6 +291,14 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
                               ["1", "-1", "-1", "0"]])),
     (["check", "--model"], _bl2p2_doc(canonical=["-3", "1"])),
     (["blowup", "--model"], _bl2p2_doc(canonical=["-3", "1"])),
+    (["check", "--model"], _bl2p2_doc(generic_families=[
+        {"class": ["1", "0"], "mult": 1, "name_hint": "L"}])),
+    (["check", "--model"], _bl2p2_doc(generic_families=[
+        {"class": ["1", "0", "0", "5"], "mult": 1, "name_hint": "L"}])),
+    (["check", "--model"], _bl2p2_doc(generic_families=[
+        {"class": ["1", "0", "0"], "mult": 0, "name_hint": "L"}])),
+    (["check", "--model"], _bl2p2_doc(generic_families=[
+        {"class": ["1", "0", "0"], "mult": -2, "name_hint": "L"}])),
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
@@ -307,7 +315,9 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         "extra-curve-negative-genus", "extra-curve-negative-genus-seshadri",
         "mult-3-seshadri-in-neg", "mult-3-seshadri-in-null",
         "model-generator-short", "model-generator-long",
-        "model-canonical-short-check", "model-canonical-short-blowup"])
+        "model-canonical-short-check", "model-canonical-short-blowup",
+        "model-family-short", "model-family-long", "model-family-mult-0",
+        "model-family-mult-minus-2"])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of

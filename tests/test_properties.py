@@ -231,6 +231,12 @@ def test_walk_equals_the_per_t_oracle(data):
         d = model.divisor([x + y for x, y in zip(d, model.ample_ref)])
     flag, point = data.draw(flags(model))
     assert_breakpoint_oracle([(which, model, d, flag, point)])
+    # the CLI writes this cycle as it is: counterclockwise from its least
+    # vertex
+    v = sp.okounkov_polygon(model, d, flag, point).vertices
+    assert v[0] == min(v), (which, d, flag)
+    assert sum(p[0] * q[1] - q[0] * p[1]
+               for p, q in zip(v, v[1:] + v[:1])) >= 0, (which, d, flag)
 
 
 @SETTINGS
