@@ -9,8 +9,9 @@ largest inverted simplex xi, moving Seshadri constants) are read off them.
 Each point of a model instance is blown up once.  A query at x decides
 once whether D is big, on the base when it lists every curve of its
 effective cone (P and N pull back, and the blow-up runs no LP or
-fixpoint), else on the blow-up, and reads every verdict at x, bigness and
-the loci, off that one decomposition of pi*D.
+fixpoint; a nef D runs neither on the base either), else on the
+blow-up, and reads every verdict at x, bigness and the loci, off that
+one decomposition of pi*D.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .lattice import (
     SurfaceModel,
     check_multiplicity,
     int_pairing,
+    self_intersection,
     validate_model,
 )
 from .okounkov import NOPolygon
@@ -242,6 +244,8 @@ def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     effective cone and declares no generators (P and N then pull back,
     :func:`_pulled_back_start`, and the blow-up runs no LP), else on the
     blow-up the walk runs on, which may list curves the base misses.
+    On such a base a nef d is decided by its curve pairings alone: P = d,
+    N = 0, and d is big iff d^2 > 0, with no LP and no fixpoint.
     Every verdict at x reads the result: x is in Neg(D) when E has
     a coefficient in N(pi*D), and in Null(D) only when P(pi*D) pairs to 0
     with a curve meeting E.  NotBig says "<what> needs a big class".
@@ -251,7 +255,11 @@ def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     point = None if y is None else _flag_point(bm, exc, y)
     up = pullback(d)
     base = model.completeness_declared and model.effective_generators is None
-    pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
+    if base and zariski.is_nef(model, d):
+        pair = (zariski.ZariskiPair(d, {}, ())
+                if self_intersection(model, d) > 0 else None)
+    else:
+        pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
     if pair is None:
         raise NotBig(f"{what} needs a big class")
     if base:

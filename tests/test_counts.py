@@ -2,13 +2,14 @@
 decomposition fixpoints, chamber walks, blow-ups, plain pairings and
 polygon vertex sets one query runs, how many pivots an LP takes and how
 wide its tableau is.
-These pin that a walk decides bigness once, that xi and moving Seshadri
-constants walk once, from the pulled-back decomposition, and build no
-vertices, that a moving Seshadri constant at a point of Neg(D) or Null(D)
-runs no walk, that a second query at a point builds no blow-up, that a polygon
-builds its vertices only when they are read, that pairings with the curve
-list read the model's curve table, and that the LP's pivots do not follow
-the order of the curves."""
+These pin that a walk decides bigness once, that a blown-up query decides
+a nef class on a complete base with no LP and no fixpoint, that xi and
+moving Seshadri constants walk once, from the pulled-back decomposition,
+and build no vertices, that a moving Seshadri constant at a point of Neg(D)
+or Null(D) runs no walk, that a second query at a point builds no blow-up,
+that a polygon builds its vertices only when they are read, that pairings
+with the curve list read the model's curve table, and that the LP's pivots
+do not follow the order of the curves."""
 
 from __future__ import annotations
 
@@ -219,30 +220,49 @@ def test_class_the_ample_row_cannot_refuse_runs_one_lp(counts):
     assert counts["lp"] == 1
 
 
-def test_xi_decomposes_once_and_walks_once(counts):
+def minus_k_plus_2e1(model):
+    """-K + 2E1: big, and not nef, since it pairs to -1 with E1."""
+    k = anti_canonical(model)
+    return model.divisor([k[0], k[1] + 2, *k[2:]])
+
+
+def test_xi_decomposes_once_and_walks_once(counts, walks):
+    """-K is nef, so the base decides it by its pairings: no LP and no
+    fixpoint.  -K + 2E1 takes one of each.  Each walks once."""
     m = sp.builtin("bl3p2")
     assert sp.xi(m, anti_canonical(m)) == 2
-    assert counts["lp"] == 1
+    assert counts == {"lp": 0, "fixpoint": 0}
+    assert walks == {"walk": 1, "blowup": 1}
+    assert sp.xi(m, minus_k_plus_2e1(m)) == 2
+    assert counts == {"lp": 1, "fixpoint": 1}
+    assert walks == {"walk": 2, "blowup": 2}
 
 
-def test_moving_seshadri_decomposes_once_and_walks_once(counts):
+def test_moving_seshadri_decomposes_once_and_walks_once(counts, walks):
     m = sp.builtin("bl6p2")
-    res = sp.moving_seshadri(m, anti_canonical(m))
-    assert res.status is sp.SeshadriStatus.POSITIVE
-    assert res.value == Fraction(3, 2)
-    assert counts["lp"] == 1
+    for cls, value, work in [
+            (anti_canonical, Fraction(3, 2), {"lp": 0, "fixpoint": 0}),
+            (minus_k_plus_2e1, 2, {"lp": 1, "fixpoint": 1})]:
+        res = sp.moving_seshadri(m, cls(m))
+        assert res.status is sp.SeshadriStatus.POSITIVE
+        assert res.value == value
+        assert counts == work
+    assert walks == {"walk": 2, "blowup": 2}
 
 
 def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["infinitesimal", "--model", "builtin:bl3p2",
-                     "--divisor", "3H-E1-E2-E3"])
-    assert code == 0
-    doc = json.loads(out.getvalue())
-    assert doc["xi"] == "2" and doc["mu_prime"] == "3"
-    assert counts["lp"] == 1
-    assert walks == {"walk": 1, "blowup": 1}
+    for divisor, work in [("3H-E1-E2-E3", {"lp": 0, "fixpoint": 0}),
+                          ("3H+E1-E2-E3", {"lp": 1, "fixpoint": 1})]:
+        walks.update(walk=0, blowup=0)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["infinitesimal", "--model", "builtin:bl3p2",
+                         "--divisor", divisor])
+        assert code == 0
+        doc = json.loads(out.getvalue())
+        assert doc["xi"] == "2" and doc["mu_prime"] == "3"
+        assert counts == work
+        assert walks == {"walk": 1, "blowup": 1}
 
 
 def test_cli_infinitesimal_on_the_negative_locus_decides_bigness_once(
@@ -295,13 +315,25 @@ def test_cli_infinitesimal_big_only_on_the_blow_up(walks, tmp_path):
 ])
 def test_moving_seshadri_on_a_locus_runs_no_walk(counts, walks, name, d, x,
                                                  status):
-    """Neg(D) and Null(D) are read off the decomposition that decided
-    bigness: one fixpoint, one blow-up and no walk.  Bigness takes one LP
-    on bl1p2 and none on example-interesting, whose effective cone is
-    simplicial."""
+    """Neg(D) and Null(D) are read off what decided bigness: one blow-up
+    and no walk.  H on bl1p2 is nef, so it is its own positive part, with
+    no LP and no fixpoint.  The class on example-interesting is not nef:
+    one fixpoint, and no LP, since its effective cone is simplicial."""
     m = sp.builtin(name)
     assert sp.moving_seshadri(m, d, x(m)).status is status
-    assert counts == {"lp": int(name == "bl1p2"), "fixpoint": 1}
+    assert counts == {"lp": 0, "fixpoint": int(name != "bl1p2")}
+    assert walks == {"walk": 0, "blowup": 1}
+
+
+def test_moving_seshadri_on_the_negative_locus_of_a_class_not_nef(
+        counts, walks):
+    """H + E on bl1p2 is big with N = E, and the point lies on E: one LP
+    and one fixpoint decide it, and no walk runs."""
+    m = sp.builtin("bl1p2")
+    x = infinitesimal.point_on_exceptional_spec(m)
+    assert sp.moving_seshadri(m, (1, 1), x).status is \
+        sp.SeshadriStatus.IN_NEG
+    assert counts == {"lp": 1, "fixpoint": 1}
     assert walks == {"walk": 0, "blowup": 1}
 
 
@@ -312,9 +344,13 @@ def test_moving_seshadri_on_a_locus_runs_no_walk(counts, walks, name, d, x,
 def test_xi_and_moving_seshadri_run_one_lp_and_one_fixpoint(
         counts, query, name, value):
     """The base decomposition decides bigness and the negative locus, and
-    the walk on the blow-up starts from its pullback: no second fixpoint."""
+    the walk on the blow-up starts from its pullback: no second fixpoint.
+    The nef class -K needs no decomposition at all.  -K + 2E1 needs one;
+    its positive part -K + E1 gives the value 2 on both models."""
     m = sp.builtin(name)
     assert query(m, anti_canonical(m)) == value
+    assert counts == {"lp": 0, "fixpoint": 0}
+    assert query(m, minus_k_plus_2e1(m)) == 2
     assert counts == {"lp": 1, "fixpoint": 1}
 
 
@@ -389,13 +425,17 @@ def test_shift_check_needs_both_classes_big():
 def test_mu_prime_decides_bigness_once(counts):
     m = sp.builtin("bl3p2")
     assert sp.mu_prime(m, anti_canonical(m)) == 3
-    assert counts["lp"] == 1
+    assert counts == {"lp": 0, "fixpoint": 0}
+    assert sp.mu_prime(m, minus_k_plus_2e1(m)) == 3
+    assert counts == {"lp": 1, "fixpoint": 1}
 
 
 def test_generic_infinitesimal_polygon_decides_bigness_once(counts):
     m = sp.builtin("bl3p2")
     assert sp.generic_infinitesimal_polygon(m, anti_canonical(m)).mu == 3
-    assert counts["lp"] == 1
+    assert counts == {"lp": 0, "fixpoint": 0}
+    assert sp.generic_infinitesimal_polygon(m, minus_k_plus_2e1(m)).mu == 3
+    assert counts == {"lp": 1, "fixpoint": 1}
 
 
 @pytest.fixture
@@ -415,10 +455,13 @@ def lp_generators(monkeypatch):
 @pytest.mark.parametrize("query", [sp.mu_prime,
                                    sp.generic_infinitesimal_polygon])
 def test_blow_up_lp_runs_over_the_base_generators(lp_generators, query):
-    """Bigness of the pullback is decided on the base: its one LP runs over
-    the 7 curves of bl3p2, not the 12 of its blow-up."""
+    """Bigness of the pullback is decided on the base: the nef class -K
+    runs no LP, and the one LP of -K + 2E1 runs over the 7 curves of bl3p2,
+    not the 12 of its blow-up."""
     m = sp.builtin("bl3p2")
     query(m, anti_canonical(m))
+    assert lp_generators == []
+    query(m, minus_k_plus_2e1(m))
     assert lp_generators == [tuple(map(tuple, m.effective_gens()))]
 
 

@@ -19,10 +19,18 @@ from surfpos.infinitesimal import (
     SeshadriStatus,
     blow_up,
 )
-from surfpos.lattice import GenericFamily, PointSpec, pairing
+from surfpos.lattice import (
+    GenericFamily,
+    PointSpec,
+    dual_cone,
+    int_pairing,
+    pairing,
+    self_intersection,
+)
 from surfpos.okounkov import polygon_area, polygon_contains
 
 from conftest import seeded_rng
+from test_weyl import nef_rays
 
 EX_SPEC = BlowupSpec(mults={"E": 1},
                      extra_curves=(("E3", (1, -1, -1)),),
@@ -427,6 +435,105 @@ def test_vertex_t_coordinates_y_independent():
     ]
     coords = {tuple(sp.vertex_t_coordinates(p)) for p in polys}
     assert len(coords) == 1
+
+
+# every builtin that declares itself complete and declares no generators:
+# its listed curves generate the effective cone
+COMPLETE_BASES = ("p2", *(f"bl{r}p2" for r in range(1, 9)),
+                  *(f"hirzebruch-{n}" for n in range(11)),
+                  "example-interesting", "example-interesting-base")
+
+
+def sample_nef_classes(model, name):
+    """Up to two extreme rays of the nef cone with D^2 = 0 and two with
+    D^2 > 0, and their sum.  bl8p2's rays are the W(E_8) orbits of H and
+    H - E1, which tools/nefcone_bl8p2.py checks against dual_cone."""
+    rays = (nef_rays(8) if name == "bl8p2"
+            else dual_cone(model.effective_gens(), model).generators)
+    rng = seeded_rng(f"nef-shortcut-{name}")
+    picked = []
+    for square_zero in (True, False):
+        kind = [v for v in rays
+                if (int_pairing(model, v, v) == 0) == square_zero]
+        picked += rng.sample(kind, min(2, len(kind)))
+    return [model.divisor(v) for v in picked] + [
+        model.divisor([sum(xs) for xs in zip(*picked)])]
+
+
+@pytest.mark.parametrize("name", COMPLETE_BASES)
+def test_nef_class_on_a_complete_base_is_decided_by_its_pairings(
+        monkeypatch, name):
+    """A nef class on a complete base is its own positive part: the
+    blown-up query's pair is the LP path's (P = D, N = 0, no support),
+    with no call of big_decomposition, and NotBig exactly when D^2 = 0.
+    The classes include f on hirzebruch-n and H - E on bl1p2."""
+    m = sp.builtin(name)
+    assert m.completeness_declared and m.effective_generators is None
+    classes = sample_nef_classes(m, name)
+    lp_pairs = [zariski.big_decomposition(m, d) for d in classes]
+
+    def refuse(*args):
+        raise AssertionError("a nef class ran big_decomposition")
+
+    monkeypatch.setattr(zariski, "big_decomposition", refuse)
+    squares = set()
+    for d, lp in zip(classes, lp_pairs):
+        assert zariski.is_nef(m, d), (name, d)
+        square = self_intersection(m, d)
+        squares.add(square > 0)
+        assert (lp is None) == (square == 0), (name, d)
+        try:
+            pair = infinitesimal._blown_up(m, d, GENERIC_POINT).pair
+        except NotBig:
+            pair = None
+        if lp is None:
+            assert pair is None, (name, d)
+        else:
+            assert pair == zariski.ZariskiPair(
+                infinitesimal._pullback(lp.P), lp.N_coeffs, lp.support)
+    # p2 has no nef class of square 0
+    assert squares == ({True} if name == "p2" else {True, False})
+    if name.startswith("hirzebruch"):
+        assert m.divisor((0, 1)) in classes  # f
+    if name == "bl1p2":
+        assert m.divisor((1, -1)) in classes  # H - E
+
+
+@pytest.mark.parametrize("name, d", [
+    ("p2", (2,)), ("bl1p2", (2, -1)), ("bl3p2", (3, -1, -1, -1)),
+    ("bl6p2", (3, -1, -1, -1, -1, -1, -1)), ("hirzebruch-2", (1, 3)),
+    ("example-interesting", (2, 1, 1)),
+    ("example-interesting-base", (1, -1))])
+def test_nef_shortcut_answers_as_the_lp_path(monkeypatch, name, d):
+    """xi, the moving Seshadri constant and mu' of a nef class read the
+    same with the pairing shortcut as on the LP path, forced by making
+    every class look not nef."""
+    m = sp.builtin(name)
+    assert zariski.is_nef(m, d)
+    queries = (sp.xi, sp.moving_seshadri, sp.mu_prime)
+
+    def answer(query):
+        try:
+            return query(m, d)
+        except NotBig as err:
+            return str(err)
+
+    shortcut = [answer(q) for q in queries]
+    monkeypatch.setattr(zariski, "is_nef", lambda model, d: False)
+    assert [answer(q) for q in queries] == shortcut
+
+
+def test_a_base_wrongly_declared_complete_is_trusted_on_nef_classes():
+    """bl2p2 without L12 but still declared complete: 2H - E1 pairs
+    non-negatively with every listed curve and has square 3, so mu' reads
+    it as big (it is), while the LP over the listed curves refuses it:
+    without L12 their cone misses 2H - E1."""
+    m = sp.builtin("bl2p2")
+    cut = m._replace(curves=tuple(c for c in m.curves if c.name != "L12"))
+    assert cut.completeness_declared
+    d = cut.divisor((2, -1, 0))
+    assert zariski.is_nef(cut, d) and not sp.is_big(cut, d)
+    assert sp.mu_prime(cut, d) == 2
 
 
 def test_xi_equals_direct_seshadri_on_nef():

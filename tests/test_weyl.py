@@ -13,6 +13,8 @@ coordinates in the basis (H, E_1, ..., E_r) and read nothing from
   exactly when w.D is;
 - w permutes the extreme rays and facet normals of the nef cone on
   bl5p2, bl6p2 and bl7p2;
+- those extreme rays are exactly the W(E_r) orbits of H and H - E_1, on
+  bl3p2 ... bl7p2 (``tools/nefcone_bl8p2.py`` checks bl8p2);
 - the Newton-Okounkov polygon is invariant: polygon(w.D, w(C), w(x)) =
   polygon(D, C, x) for a (-1)-curve C, with x generic on C or at C cap C'
   for a (-1)-curve C' that meets C.
@@ -124,10 +126,39 @@ def test_zariski_decomposition_is_weyl_equivariant(data):
                                   for n, a in base.N_coeffs.items()}, (d, word)
 
 
+def nef_rays(r):
+    """The sorted W(E_r) orbits of H and H - E_1 on bl_r p2, r >= 3:
+    the two seeds closed under the adjacent transpositions and the Cremona
+    reflection in H - E_1 - E_2 - E_3, which generate W(E_r)."""
+    seeds = [(1,) + (0,) * r, (1, -1) + (0,) * (r - 1)]
+    moves = [(transpose, (i, i + 1)) for i in range(1, r)]
+    moves.append((cremona, (1, 2, 3)))
+    orbit, todo = set(seeds), seeds
+    while todo:
+        v = todo.pop()
+        for gen, idx in moves:
+            w = gen(v, *idx)
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return sorted(orbit)
+
+
 @lru_cache(maxsize=None)
 def nef_cone(r):
     model = sp.builtin(f"bl{r}p2")
     return dual_cone(model.effective_gens(), model)
+
+
+def test_nef_cone_is_two_weyl_orbits():
+    """Nef(bl_r p2) for 3 <= r <= 7: its extreme rays, as dual_cone finds
+    them, are the orbits of H and H - E_1, and nothing else."""
+    sizes = {}
+    for r in range(3, 8):
+        rays = nef_rays(r)
+        assert list(nef_cone(r).generators) == rays, r
+        sizes[r] = len(rays)
+    assert sizes == {3: 5, 4: 10, 5: 26, 6: 99, 7: 702}
 
 
 @SETTINGS
