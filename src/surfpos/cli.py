@@ -32,7 +32,7 @@ from .lattice import (
     PointSpec,
     SurfaceModel,
 )
-from .models import _dec_frac, _dec_int, _enc_frac
+from .models import _dec_bool, _dec_frac, _dec_int, _enc_frac
 from .scalars import Quad
 
 if TYPE_CHECKING:
@@ -203,7 +203,7 @@ def _resolve_flag(args, model: SurfaceModel) -> tuple[str, PointSpec]:
             on_curve=str(doc.get("on_curve", flag_curve)),
             local_mults={str(k): _dec_int(v) for k, v in
                          doc.get("local_mults", {}).items()},
-            generic=bool(doc.get("generic", False))))
+            generic=_dec_bool(doc, "generic", False)))
         lattice.validate_point(model, ps)
     if ps.on_curve != flag_curve:
         raise SurfposError(
@@ -224,7 +224,7 @@ def _resolve_blowup_point(arg, model: SurfaceModel) -> BlowupSpec:
         extra_curves=tuple(
             (str(c["name"]), tuple(_dec_int(x) for x in c["class"]))
             for c in doc.get("extra_curves", [])),
-        extra_complete=bool(doc.get("extra_complete", False)),
+        extra_complete=_dec_bool(doc, "extra_complete", False),
         exceptional_name=doc.get("exceptional_name"),
         renames={str(k): str(v) for k, v in doc.get("renames", {}).items()},
     ))

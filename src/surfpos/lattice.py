@@ -21,7 +21,8 @@ effective generator: a class a row pairs negatively with is not
 pseudo-effective.  A simplicial cone, spanned by rho independent
 generators, is decided by its facet rows both ways; on any other cone the
 table holds the row gram . A of the ample reference, when that row
-qualifies, and :func:`cone_contains` decides what it does not refuse.
+qualifies, and :func:`cone_contains` decides what it does not refuse:
+it reads the generators as stored and builds Fractions only to divide.
 :func:`validate_model` checks on load that the ample and canonical
 classes, every declared generator and every curve and family class have
 rho entries, so the tables and the LP read classes of the model's rank
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -47,11 +49,6 @@ from .errors import (
 from .scalars import primitive, rank, scaled, vector
 
 DivisorClass = tuple[Fraction, ...]
-
-
-class _Generators(tuple):
-    """Generators already converted to Fraction vectors, which
-    :func:`cone_contains` takes as they are."""
 
 
 class CurveRecord(NamedTuple):
@@ -199,21 +196,12 @@ class SurfaceModel(_ModelFields):
                 f"expected {self.rank} coordinates, got {len(v)}")
         return v
 
-    def _generator_classes(self) -> Sequence[Sequence]:
+    def effective_gens(self) -> tuple[Sequence, ...]:
         """The declared generators, or else the listed curve classes, as
         they are stored: the curve classes are integer tuples."""
         if self.effective_generators is None:
-            return [c.cls for c in self.curves]
+            return tuple(c.cls for c in self.curves)
         return self.effective_generators
-
-    @cached_property
-    def _effective_gens(self) -> _Generators:
-        return _Generators(vector(g) for g in self._generator_classes())
-
-    def effective_gens(self) -> tuple[DivisorClass, ...]:
-        """The declared generators, or else the listed curve classes, as
-        Fraction vectors built once per model."""
-        return self._effective_gens
 
     @cached_property
     def _farkas(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
@@ -229,7 +217,7 @@ class SurfaceModel(_ModelFields):
         g: then w pairs non-negatively with the whole effective cone, so
         w . d < 0 certifies that d lies outside it (Farkas).  A class the
         table does not refuse goes to the LP."""
-        gens = self._generator_classes()
+        gens = self.effective_gens()
         if len(gens) == self.rank:
             try:
                 inv = scalars.inverse(list(zip(*gens)))
@@ -389,7 +377,7 @@ def _pivot(tab: list, obj: list, piv: int, enter: int) -> None:
     """Pivot the tableau rows and the objective row on tab[piv][enter], in
     place."""
     pr = tab[piv]
-    inv = 1 / pr[enter]
+    inv = Fraction(pr[enter].denominator, pr[enter].numerator)
     pr = tab[piv] = [x * inv for x in pr]
     for i, row in enumerate(tab):
         f = row[enter]
@@ -415,9 +403,10 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
     terminates.  The order of the generators then sets the pivots only
     through ties and degenerate pivots.
     """
-    gens = generators if isinstance(generators, _Generators) \
-        else [vector(g) for g in generators]
-    target = vector(v)
+    for t in set(map(type, chain.from_iterable(generators))):
+        if not issubclass(t, (int, Fraction)):
+            raise TypeError(f"expected exact rational, got {t.__name__}")
+    gens, target = generators, vector(v)
     if all(x == 0 for x in target):
         return True
     if not gens:
@@ -430,6 +419,7 @@ def cone_contains(generators: Sequence[Sequence], v: Sequence) -> bool:
     # never priced, never enter and are never read, so none is stored
     # (Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
     # 1997, 3.5): the pivots are those of the full phase-one tableau.
+    # Entries go in as stored; the right-hand sides are and stay Fractions.
     tab = []
     for i, b in enumerate(target):
         row = [g[i] for g in gens] + [b]

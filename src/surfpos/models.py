@@ -252,6 +252,15 @@ def _dec_int(s) -> int:
     return f.numerator
 
 
+def _dec_bool(doc: dict, key: str, default: bool | None) -> bool | None:
+    """doc[key] when it is a JSON true or false, else the default when the
+    key is absent; null is a value only where the default is None."""
+    v = doc.get(key, default)
+    if type(v) is bool or v is None is default:
+        return v
+    raise SchemaError(f"expected true or false for {key}, got {v!r}")
+
+
 def model_to_dict(model: SurfaceModel) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -306,7 +315,7 @@ def model_from_dict(doc: dict) -> SurfaceModel:
             CurveRecord(name=str(c["name"]),
                         cls=tuple(_dec_int(x) for x in c["class"]),
                         self_int=_dec_int(c["self_int"]),
-                        is_rational=c.get("is_rational"))
+                        is_rational=_dec_bool(c, "is_rational", None))
             for c in doc["curves"])
         ample = tuple(_dec_frac(x) for x in doc["ample"])
         canonical = (tuple(_dec_frac(x) for x in doc["canonical"])
@@ -319,7 +328,7 @@ def model_from_dict(doc: dict) -> SurfaceModel:
                 on_curve=str(p["on_curve"]),
                 local_mults={str(k): _dec_int(v)
                              for k, v in p.get("local_mults", {}).items()},
-                generic=bool(p.get("generic", True)))
+                generic=_dec_bool(p, "generic", True))
             for name, p in doc.get("points", {}).items()
         }
         families = tuple(
@@ -332,8 +341,8 @@ def model_from_dict(doc: dict) -> SurfaceModel:
         model = SurfaceModel(
             rank=rank, basis_labels=basis, gram=gram, curves=curves,
             ample_ref=ample, canonical=canonical, effective_generators=eff,
-            completeness_declared=bool(doc.get("complete", False)),
-            ample_ref_is_ample=bool(doc.get("ample_is_ample", True)),
+            completeness_declared=_dec_bool(doc, "complete", False),
+            ample_ref_is_ample=_dec_bool(doc, "ample_is_ample", True),
             points=points, generic_families=families, metadata=metadata)
     except _MALFORMED as e:
         raise SchemaError(f"malformed model document: {e}") from None

@@ -215,10 +215,42 @@ def _example_doc_with_local_mults(local_mults):
     return doc
 
 
+def _bl2p2_doc_with_is_rational(value):
+    doc = _bl2p2_doc()
+    doc["curves"][0]["is_rational"] = value
+    return doc
+
+
+def _bl2p2_doc_with_generic_point(value):
+    doc = _bl2p2_doc()
+    doc["points"]["generic"]["generic"] = value
+    return doc
+
+
 BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
 FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
               "3H-E1-E2-E3+L12", "--flag-curve", "E1", "--point"]
+# a flag a file gives as anything but JSON true or false (or null, for a
+# curve's is_rational) is a schema error, not read by its truthiness
+NOT_A_BOOL = [
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(complete="false")),
+    (["zariski", "--divisor", "H", "--model"], _bl2p2_doc(complete=None)),
+    (["check", "--model"], _bl2p2_doc(ample_is_ample=1)),
+    (["check", "--model"], _bl2p2_doc_with_generic_point("true")),
+    (["check", "--model"], _bl2p2_doc_with_is_rational("true")),
+    (["check", "--model"], _bl2p2_doc_with_is_rational(0)),
+    (FLAG_POINT, {"generic": "false"}),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"mults": {"E1": 1}, "extra_complete": "true"}),
+    (["blowup", "--model", "builtin:bl2p2", "--point"],
+     {"mults": {"E1": 1}, "extra_complete": 0}),
+]
+NOT_A_BOOL_IDS = [
+    "model-complete-string", "model-complete-null",
+    "model-ample-is-ample-1", "model-point-generic-string",
+    "model-is-rational-string", "model-is-rational-0",
+    "point-generic-string", "extra-complete-string", "extra-complete-0"]
 # no point of E1 has multiplicity 3, on Neg(H + E1) or on Null(H)
 MULT_3_IN_NEG, MULT_3_IN_NULL = (
     (["moving-seshadri", "--model", "builtin:bl2p2", "--divisor", d,
@@ -299,6 +331,7 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         {"class": ["1", "0", "0"], "mult": 0, "name_hint": "L"}])),
     (["check", "--model"], _bl2p2_doc(generic_families=[
         {"class": ["1", "0", "0"], "mult": -2, "name_hint": "L"}])),
+    *NOT_A_BOOL,
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
         "deg-abc", "target-1/0", "model-r-abc", "local-mult-above-global",
@@ -317,7 +350,7 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         "model-generator-short", "model-generator-long",
         "model-canonical-short-check", "model-canonical-short-blowup",
         "model-family-short", "model-family-long", "model-family-mult-0",
-        "model-family-mult-minus-2"])
+        "model-family-mult-minus-2", *NOT_A_BOOL_IDS])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -340,6 +373,33 @@ def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+def _run_with_spec(tmp_path, argv, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return run_cli(argv + [str(path)])
+
+
+@pytest.mark.parametrize("argv, spec", NOT_A_BOOL, ids=NOT_A_BOOL_IDS)
+def test_cli_flag_that_is_not_a_bool_is_a_schema_error(tmp_path, argv, spec):
+    """bl2p2 saved with "complete": "false" loaded as complete, and a
+    "generic" or "extra_complete" of "false" read as true."""
+    code, _, err = _run_with_spec(tmp_path, argv, spec)
+    assert code == 1
+    assert json.loads(err)["error"] == "schema-error"
+
+
+def test_cli_absent_flags_take_their_defaults(tmp_path):
+    """An absent flag takes its default, and a curve's is_rational may be
+    null: without "complete" bl2p2 loads as incomplete, so its answer is
+    marked relative."""
+    doc = _bl2p2_doc_with_is_rational(None)
+    del doc["complete"], doc["ample_is_ample"]
+    del doc["points"]["generic"]["generic"]
+    code, out, _ = _run_with_spec(
+        tmp_path, ["zariski", "--divisor", "H", "--model"], doc)
+    assert code == 0 and json.loads(out)["relative"] is True
 
 
 @pytest.mark.parametrize("argv, spec", [MULT_3_IN_NEG, MULT_3_IN_NULL],

@@ -19,11 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
+from surfpos import lattice
 from surfpos.infinitesimal import blow_up
 from surfpos.lattice import cone_contains, pairing
 from surfpos.scalars import vector
 
-from conftest import MATRIX_MODELS
+from conftest import MATRIX_MODELS, seeded_rng
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -172,3 +173,97 @@ def test_verdict_does_not_follow_the_labels(r, data):
         assert verdict == (kind == "inside")
     moved = sorted(relabel(perm, g) for g in gens)
     assert cone_contains(moved, relabel(perm, d)) == verdict
+
+
+def _recorded_pivots(monkeypatch):
+    """The (row, column) of every lattice._pivot call, in order."""
+    seen = []
+    pivot = lattice._pivot
+
+    def recorded_pivot(tab, obj, piv, enter):
+        seen.append((piv, enter))
+        return pivot(tab, obj, piv, enter)
+
+    monkeypatch.setattr(lattice, "_pivot", recorded_pivot)
+    return seen
+
+
+def _declared_fraction_generators():
+    """bl5p2 declaring its curve classes as Fraction vectors."""
+    model = sp.builtin("bl5p2")
+    return model._replace(effective_generators=tuple(
+        vector(c.cls) for c in model.curves))
+
+
+def _lp_classes(model, rng, k):
+    """k classes, alternately a combination of one to three generators
+    (of degree at most 1 on a del Pezzo model, so no LP on bl8p2 takes
+    long) with coefficients in (0, 3], and a small integer vector."""
+    gens = [g for g in model.effective_gens()
+            if model.metadata.get("family") != "del-pezzo" or g[0] <= 1]
+    out = []
+    for i in range(k):
+        if i % 2:
+            out.append(tuple(Fraction(rng.randint(-3, 3))
+                             for _ in range(model.rank)))
+            continue
+        d = [Fraction(0)] * model.rank
+        for _ in range(rng.randint(1, 3)):
+            c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            d = [x + c * y for x, y in zip(d, rng.choice(gens))]
+        out.append(tuple(d))
+    return out
+
+
+@pytest.mark.parametrize("name, k", [
+    ("bl6p2", 6), ("bl7p2", 6), ("bl8p2", 4), ("hirzebruch-3", 6),
+    ("bl5p2-declared", 6)])
+def test_int_and_fraction_generators_take_the_same_pivots(monkeypatch,
+                                                           name, k):
+    """The LP reads generator entries as stored, ints or Fractions, and
+    compares the same rationals either way: an int copy and a Fraction copy
+    of the same generators give the same verdict through the same pivots.
+    bl5p2-declared declares its generators as Fraction vectors, and
+    effective_gens returns them as declared."""
+    if name == "bl5p2-declared":
+        model = _declared_fraction_generators()
+        assert model.effective_gens() is model.effective_generators
+    else:
+        model = sp.builtin(name)
+    ints = tuple(tuple(map(int, g)) for g in model.effective_gens())
+    fracs = tuple(vector(g) for g in ints)
+    assert ints == fracs
+    seen = _recorded_pivots(monkeypatch)
+    for d in _lp_classes(model, seeded_rng(f"lp-copies-{name}"), k):
+        verdict = cone_contains(ints, d)
+        by_ints, seen[:] = list(seen), []
+        assert cone_contains(fracs, d) == verdict, (name, d)
+        assert seen == by_ints, (name, d)
+        seen.clear()
+
+
+@pytest.mark.parametrize("generators, v", [
+    ([(1, 0), (0.5, 1)], (1, 1)), ([(1, 0), (Fraction(1, 2), 1.0)], (1, 1)),
+    ([(1, 0), (0, 1)], (1.0, 1)), ([(1, 0), (0, 1)], (0.0, 0))])
+def test_a_float_generator_or_target_raises(generators, v):
+    """A float is no exact rational, in a generator or in the target."""
+    with pytest.raises(TypeError):
+        cone_contains(generators, v)
+
+
+def test_stored_curve_classes_get_no_fraction_copy(monkeypatch):
+    """An LP over bl8p2's 240 (-1)-classes and L, as stored, converts only
+    its target with scalars.vector: the tableau takes the integer classes
+    as they are."""
+    model = sp.builtin("bl8p2")
+    calls = []
+    convert = lattice.vector
+
+    def counted_vector(xs):
+        calls.append(xs)
+        return convert(xs)
+
+    monkeypatch.setattr(lattice, "vector", counted_vector)
+    d = model.canonical
+    assert not cone_contains([c.cls for c in model.curves], d)
+    assert calls == [d]
