@@ -40,11 +40,10 @@ from .lattice import (
     SurfaceModel,
     check_multiplicity,
     int_pairing,
-    self_intersection,
     validate_model,
 )
 from .okounkov import NOPolygon
-from .scalars import ExactScalar
+from .scalars import ExactScalar, scaled
 
 
 def point_on_exceptional_spec(model: SurfaceModel) -> BlowupSpec:
@@ -214,7 +213,8 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
         return PointSpec(on_curve=exc, generic=True)
     if not bm.has_curve(y.on):
         raise InconsistentMultiplicities(f"no curve named {y.on!r}")
-    if bm.meet(y.on, exc) < y.mult or y.mult < 1:
+    meet = int_pairing(bm, bm.curve(y.on).cls, bm.curve(exc).cls)
+    if meet < y.mult or y.mult < 1:
         raise InconsistentMultiplicities(
             f"{y.on} does not meet the exceptional curve with "
             f"multiplicity {y.mult}")
@@ -245,7 +245,8 @@ def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     :func:`_pulled_back_start`, and the blow-up runs no LP), else on the
     blow-up the walk runs on, which may list curves the base misses.
     On such a base a nef d is decided by its curve pairings alone: P = d,
-    N = 0, and d is big iff d^2 > 0, with no LP and no fixpoint.
+    N = 0, and d is big iff d^2 > 0, with no LP and no fixpoint; the
+    pair is then pi*d with no negative part.
     Every verdict at x reads the result: x is in Neg(D) when E has
     a coefficient in N(pi*D), and in Null(D) only when P(pi*D) pairs to 0
     with a curve meeting E.  NotBig says "<what> needs a big class".
@@ -256,10 +257,11 @@ def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     up = pullback(d)
     base = model.completeness_declared and model.effective_generators is None
     if base and zariski.is_nef(model, d):
-        pair = (zariski.ZariskiPair(d, {}, ())
-                if self_intersection(model, d) > 0 else None)
-    else:
-        pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
+        num = scaled(d)[0]
+        if int_pairing(model, num, num) == 0:
+            raise NotBig(f"{what} needs a big class")
+        return _BlownUp(bm, exc, point, up, zariski.ZariskiPair(up, {}, ()))
+    pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
     if pair is None:
         raise NotBig(f"{what} needs a big class")
     if base:
@@ -293,7 +295,7 @@ def mu_prime(model: SurfaceModel, d: Sequence,
 
 def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
     """Strict transforms actually meeting the exceptional curve."""
-    meets = bm.curve_pairings(bm.curve_class(exc))
+    meets = bm.curve_dots(bm.curve(exc).cls)
     return [c.name for c in bm.curves
             if c.name != exc and meets[c.name] >= 1 and c.self_int < 0]
 
@@ -303,20 +305,21 @@ def xi(model: SurfaceModel, d: Sequence,
     """Largest xi with the inverted simplex of size xi inside every
     infinitesimal polygon at x; independent of the point y on E."""
     b = _blown_up(model, d, x, what="xi")
+    directions = exceptional_directions(b.model, b.exc)
     if b.exc in b.pair.N_coeffs:
-        through = [n for n in exceptional_directions(b.model, b.exc)
-                   if n in b.pair.N_coeffs]
+        through = [n for n in directions if n in b.pair.N_coeffs]
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_of_walk(b.model, b.exc, b.walk())
+    return _xi_of_walk(b.model, b.exc, b.walk(), directions)
 
 
-def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk
-                ) -> ExactScalar:
+def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk,
+                directions: Sequence[str]) -> ExactScalar:
     """xi off the negative locus, from the walk on the blow-up: its value
-    at a generic y, re-verified at every special direction."""
+    at a generic y, re-verified at every special direction, the
+    :func:`exceptional_directions` of E."""
     value = okounkov.largest_inverted_simplex(
         walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
-    for name in exceptional_directions(bm, exc):
+    for name in directions:
         special = walk.polygon(_flag_point(bm, exc, InfFlagSpec(on=name)))
         if okounkov.largest_inverted_simplex(special) != value:
             raise ModelInconsistency(
@@ -335,7 +338,8 @@ def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     poly = walk.polygon(b.point)
     try:
         in_neg = b.exc in b.pair.N_coeffs
-        return poly, None if in_neg else _xi_of_walk(b.model, b.exc, walk)
+        return poly, None if in_neg else _xi_of_walk(
+            b.model, b.exc, walk, exceptional_directions(b.model, b.exc))
     except ModelInconsistency:
         return poly, None
 
@@ -359,12 +363,13 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
     b = _blown_up(model, d, x, what="moving Seshadri constant")
     if b.exc in b.pair.N_coeffs:
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    p_dot = b.model.curve_pairings(b.pair.P)
-    if any(p_dot[n] == 0 for n in exceptional_directions(b.model, b.exc)):
+    p_dot = b.model.curve_dots(scaled(b.pair.P)[0])
+    directions = exceptional_directions(b.model, b.exc)
+    if any(p_dot[n] == 0 for n in directions):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
-    return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_of_walk(b.model, b.exc, b.walk()))
+    return MovingSeshadri(SeshadriStatus.POSITIVE, value=_xi_of_walk(
+        b.model, b.exc, b.walk(), directions))
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -15,7 +15,11 @@ the row gram . C of each listed curve C, built on first use and read by
 :meth:`SurfaceModel.curve_pairings` and :meth:`SurfaceModel.meet`, which
 return Fractions, and by :meth:`SurfaceModel.curve_dots`, which pairs an
 integer vector and returns integers.  :func:`pairing` pairs two arbitrary
-classes, and :func:`int_pairing` two integer vectors.  A model also keeps
+classes, and :func:`int_pairing` two integer vectors.  A sign or zero
+test reads ``curve_dots`` and ``int_pairing`` on a class's numerator over
+its positive denominator (:func:`scalars.scaled`), so it builds no
+Fraction: the nef and ample tests, the null locus, and the directions
+through an exceptional curve do.  A model also keeps
 one Farkas table of integer rows that pair non-negatively with every
 effective generator: a class a row pairs negatively with is not
 pseudo-effective.  A simplicial cone, spanned by rho independent
@@ -337,7 +341,8 @@ def validate_model(model: SurfaceModel) -> None:
 
 
 def validate_point(model: SurfaceModel, p: PointSpec) -> None:
-    """Raise InvariantViolation unless p is a valid point spec of the model."""
+    """Raise InvariantViolation unless p is a valid point spec of the model.
+    A point declared generic has no positive local multiplicity."""
     if not model.has_curve(p.on_curve):
         raise InvariantViolation("point spec",
                                  f"unknown flag curve {p.on_curve!r}")
@@ -354,6 +359,10 @@ def validate_point(model: SurfaceModel, p: PointSpec) -> None:
                 "point spec", f"local mult of {n} exceeds global intersection")
         if m > 0:
             check_multiplicity(model, n, 1)
+    if p.generic and p.through():
+        raise InvariantViolation(
+            "point spec", "a point declared generic lies on "
+            + ", ".join(sorted(p.through())))
 
 
 def check_multiplicity(model: SurfaceModel, name: str, m: int) -> None:

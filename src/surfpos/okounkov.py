@@ -127,13 +127,16 @@ class Walk(NamedTuple):
 
     def polygon(self, point: PointSpec) -> NOPolygon:
         """The polygon for the flag (C, point): alpha weighs the negative
-        part by the local multiplicities at the point."""
+        part by the local multiplicities at the point, so only the curves
+        through the point count."""
+        through = [(n, m) for n in point.local_mults
+                   if (m := point.mult(n)) > 0]
         pieces = []
         for t_lo, t_hi, coeffs, blen in self.pieces:
-            alpha = (sum((c0 * point.mult(n)
-                          for n, (c0, _) in coeffs.items()), Fraction(0)),
-                     sum((c1 * point.mult(n)
-                          for n, (_, c1) in coeffs.items()), Fraction(0)))
+            alpha = (sum((coeffs[n][0] * m for n, m in through
+                          if n in coeffs), Fraction(0)),
+                     sum((coeffs[n][1] * m for n, m in through
+                          if n in coeffs), Fraction(0)))
             beta = (alpha[0] + blen[0], alpha[1] + blen[1])
             pieces.append(PolygonPiece(t_lo, t_hi, alpha, beta,
                                        tuple(coeffs)))

@@ -37,7 +37,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     cone_contains,
-    pairing,
+    int_pairing,
     self_intersection,
 )
 from .scalars import scaled, solve_negative_definite, vector
@@ -177,30 +177,31 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
 
 def loci(model: SurfaceModel, d: Sequence) -> LocusReport:
     pair = zariski_decompose(model, d)
-    null = frozenset(n for n, v in model.curve_pairings(pair.P).items()
+    null = frozenset(n for n, v in model.curve_dots(scaled(pair.P)[0]).items()
                      if v == 0)
     return LocusReport(null_curves=null,
                        neg_curves=frozenset(pair.support),
                        relative=pair.relative)
 
 
+def _positive(model: SurfaceModel, d: Sequence, strict: bool) -> bool:
+    """Whether d^2, d.A for the ample reference A, and d.C for every listed
+    curve C are all >= 0, or all > 0 when ``strict``.  Each sign is read
+    on integers: d's numerator over a positive denominator."""
+    num = scaled(model.divisor(d))[0]
+    ok = (0).__lt__ if strict else (0).__le__
+    return (ok(int_pairing(model, num, num))
+            and ok(int_pairing(model, num, scaled(model.ample_ref)[0]))
+            and all(map(ok, model.curve_dots(num).values())))
+
+
 def is_nef(model: SurfaceModel, d: Sequence) -> bool:
-    d = model.divisor(d)
-    if self_intersection(model, d) < 0:
-        return False
-    if pairing(model, d, model.ample_ref) < 0:
-        return False
-    return all(v >= 0 for v in model.curve_pairings(d).values())
+    return _positive(model, d, strict=False)
 
 
 def is_ample(model: SurfaceModel, d: Sequence) -> bool:
     """Nakai-Moishezon against the declared curve list."""
-    d = model.divisor(d)
-    if self_intersection(model, d) <= 0:
-        return False
-    if pairing(model, d, model.ample_ref) <= 0:
-        return False
-    return all(v > 0 for v in model.curve_pairings(d).values())
+    return _positive(model, d, strict=True)
 
 
 def volume(model: SurfaceModel, d: Sequence) -> Fraction:

@@ -227,6 +227,13 @@ def _bl2p2_doc_with_generic_point(value):
     return doc
 
 
+def _bl2p2_doc_with_generic_point_on(curve):
+    """bl2p2 with its generic point, still declared generic, on ``curve``."""
+    doc = _bl2p2_doc_with_generic_point(True)
+    doc["points"]["generic"]["local_mults"] = {curve: 1}
+    return doc
+
+
 BAD_MULT = ["moving-seshadri", "--model", "builtin:bl3p2", "--divisor",
             "3H-E1-E2-E3", "--point"]
 FLAG_POINT = ["polygon", "--model", "builtin:bl3p2", "--divisor",
@@ -251,6 +258,12 @@ NOT_A_BOOL_IDS = [
     "model-ample-is-ample-1", "model-point-generic-string",
     "model-is-rational-string", "model-is-rational-0",
     "point-generic-string", "extra-complete-string", "extra-complete-0"]
+# a point declared generic lies on no listed curve but its flag curve
+GENERIC_ON_A_CURVE = (FLAG_POINT, {"on_curve": "E1",
+                                   "local_mults": {"L12": 1},
+                                   "generic": True})
+MODEL_GENERIC_ON_A_CURVE = (["check", "--model"],
+                            _bl2p2_doc_with_generic_point_on("L12"))
 # no point of E1 has multiplicity 3, on Neg(H + E1) or on Null(H)
 MULT_3_IN_NEG, MULT_3_IN_NULL = (
     (["moving-seshadri", "--model", "builtin:bl2p2", "--divisor", d,
@@ -331,6 +344,7 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         {"class": ["1", "0", "0"], "mult": 0, "name_hint": "L"}])),
     (["check", "--model"], _bl2p2_doc(generic_families=[
         {"class": ["1", "0", "0"], "mult": -2, "name_hint": "L"}])),
+    GENERIC_ON_A_CURVE, MODEL_GENERIC_ON_A_CURVE,
     *NOT_A_BOOL,
 ], ids=["point-not-json", "mult-string", "mult-1.5", "mult-0.9",
         "local-mult-1.5", "model-local-mult-1.5", "extra-curve-no-name",
@@ -350,7 +364,8 @@ MULT_3_IN_NEG, MULT_3_IN_NULL = (
         "model-generator-short", "model-generator-long",
         "model-canonical-short-check", "model-canonical-short-blowup",
         "model-family-short", "model-family-long", "model-family-mult-0",
-        "model-family-mult-minus-2", *NOT_A_BOOL_IDS])
+        "model-family-mult-minus-2", "point-generic-on-a-curve",
+        "model-point-generic-on-a-curve", *NOT_A_BOOL_IDS])
 def test_cli_malformed_input_is_a_json_error(tmp_path, argv, spec):
     """Malformed input files and arguments exit 1 with a JSON error object;
     an exception escaping main() would fail the test instead.  A mult of
@@ -388,6 +403,21 @@ def test_cli_flag_that_is_not_a_bool_is_a_schema_error(tmp_path, argv, spec):
     code, _, err = _run_with_spec(tmp_path, argv, spec)
     assert code == 1
     assert json.loads(err)["error"] == "schema-error"
+
+
+@pytest.mark.parametrize("argv, spec, where", [
+    (*GENERIC_ON_A_CURVE, "L12"), (*MODEL_GENERIC_ON_A_CURVE, "L12")],
+    ids=["point-file", "model-file"])
+def test_cli_point_declared_generic_on_a_curve_is_refused(tmp_path, argv,
+                                                          spec, where):
+    """A point that says it is generic but has a positive local
+    multiplicity was accepted, and its polygon was the same as with
+    "generic": false."""
+    code, out, err = _run_with_spec(tmp_path, argv, spec)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "invariant-violation",
+        "message": f"point spec: a point declared generic lies on {where}"}
 
 
 def test_cli_absent_flags_take_their_defaults(tmp_path):

@@ -4,7 +4,13 @@ that every run draws the same examples).
 Whatever the input, ``parse_divisor`` returns a class or raises a located
 error, and ``cli.main`` returns 0, or 1 with a JSON error object as the
 last line of stderr; argparse may exit with 2.  Files are valid documents
-with one field replaced by a random JSON value, or random bytes."""
+with one field replaced by a random JSON value, or random bytes.
+
+The argv fuzz checks the rule for values that start with a minus sign:
+after ``--divisor``, ``--deg`` or ``--target``, or an abbreviation of one,
+a token that starts with one '-' is the value, read as after '=', and one
+that starts with '--' stays an option.  The subcommands that draw nothing
+refuse ``--svg`` and ``--csv`` wherever they stand (exit 2)."""
 
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
-from surfpos.cli import main, parse_divisor
+from surfpos.cli import _COMMANDS, main, parse_divisor
 from surfpos.errors import ParseError, UnknownSymbol
 from surfpos.models import model_to_dict
 
@@ -158,3 +164,98 @@ def test_point_file_exits_0_or_with_a_json_error(spec_path, case):
     argv, data = case
     spec_path.write_bytes(data)
     assert_exit_contract(argv + [str(spec_path)])
+
+
+def outcome(argv) -> tuple:
+    """The exit code, stdout and stderr of ``main``; argparse's exit
+    counts as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# an option whose value may start with '-', spelt in full or abbreviated,
+# with the other arguments of its command before or after it
+SIGNED_OPTIONS = [
+    (["zariski", "--model", "builtin:bl1p2"], ["--divisor", "--div", "--d"]),
+    (["genericbound", "--target", "1"], ["--deg", "--de"]),
+    (["genericbound", "--deg", "5"], ["--target", "--targ", "--t"]),
+]
+SIGNED = st.sampled_from(SIGNED_OPTIONS).flatmap(
+    lambda case: st.tuples(st.just(case[0]), st.sampled_from(case[1]),
+                           st.booleans()))
+# a token after the option, less its leading '-' or '--'
+TAIL = st.one_of(GRAMMAR, st.text(max_size=8))
+OPTION_TAIL = st.text("abcdejmorstv019=-/+", max_size=8)
+
+
+@SETTINGS
+@given(SIGNED, TAIL.filter(lambda t: not t.startswith("-")))
+def test_argv_value_may_start_with_one_minus_sign(case, tail):
+    """The token is the option's value, exactly as after '=': never a
+    usage error, and the same bytes either way."""
+    rest, option, before = case
+    value = "-" + tail
+    split = [option, value]
+    joined = [f"{option}={value}"]
+    got = outcome([rest[0], *split, *rest[1:]] if before else rest + split)
+    assert got == outcome(
+        [rest[0], *joined, *rest[1:]] if before else rest + joined)
+    assert got[0] in (0, 1)
+    if got[0] == 1:
+        assert isinstance(json.loads(got[2].splitlines()[-1]), dict)
+
+
+@SETTINGS
+@given(SIGNED, OPTION_TAIL)
+def test_argv_token_with_two_minus_signs_stays_an_option(case, tail):
+    """The option is left without a value: a usage error, exit 2."""
+    rest, option, _ = case
+    assert outcome(rest + [option, "--" + tail])[0] == 2
+
+
+DRAWS_NOTHING = [c for c, (_, opts) in _COMMANDS.items()
+                 if "svg" not in opts.split()]
+# a query each subcommand answers with exit 0
+VALID_ARGS = {
+    "zariski": "--model builtin:bl2p2 --divisor 3H-E1-E2",
+    "loci": "--model builtin:bl2p2 --divisor 3H-E1-E2",
+    "seshadri": "--model builtin:bl2p2 --divisor 3H-E1-E2",
+    "moving-seshadri": "--model builtin:bl2p2 --divisor 3H-E1-E2",
+    "lambda": "--model builtin:bl2p2 --divisor 3H-E1-E2 --flag-curve E1",
+    "nefcone": "--model builtin:bl2p2",
+    "freemult": "--model builtin:bl2p2 --divisor 3H-E1-E2",
+    "genericbound": "--deg 5 --target 1 --exclude-q1",
+    "blowup": "--model builtin:bl2p2",
+    "check": "--model builtin:bl2p2",
+}
+
+
+def test_every_subcommand_that_draws_nothing_has_a_valid_query():
+    assert sorted(DRAWS_NOTHING) == sorted(VALID_ARGS)
+    assert sorted(set(_COMMANDS) - set(DRAWS_NOTHING)) == \
+        ["infinitesimal", "polygon"]
+    for command, args in VALID_ARGS.items():
+        assert outcome([command, *args.split()])[0] == 0, command
+
+
+@SETTINGS
+@given(st.sampled_from(DRAWS_NOTHING), st.sampled_from(["--svg", "--csv"]),
+       st.one_of(st.just("out.svg"), st.text(max_size=6)), st.data())
+def test_subcommand_that_draws_nothing_refuses_svg_and_csv(
+        tmp_path_factory, command, option, path, data):
+    """Wherever the option stands among the others: exit 2, and no file
+    is written."""
+    where = tmp_path_factory.mktemp("draw")
+    args = VALID_ARGS[command].split()
+    # before an option of the query, or at its end
+    at = data.draw(st.sampled_from(
+        [i for i, a in enumerate(args) if a.startswith("--")]
+        + [len(args)]))
+    drawn = [option, str(where / path) if path else path]
+    assert outcome([command, *args[:at], *drawn, *args[at:]])[0] == 2
+    assert list(where.iterdir()) == []

@@ -7,7 +7,10 @@ six commands of acceptance criterion 12; a polygon on the relative model of
 whose mu, lambda, t_hi and vertices are in Q(sqrt 3), mu = -1 + sqrt(3);
 one not-pseudo-effective error and one parse error.  The file was recorded
 from the code before ``Quad`` took its present form, and a changed byte is
-a changed answer."""
+a changed answer.  Three later lines pin the blown-up queries of a nef
+class: the moving Seshadri constant of -K on bl5p2, the infinitesimal
+polygon and xi of 4H - E1 - E2 - E3 on bl3p2, and the Seshadri constant
+of -K on bl6p2, recorded before their signs were read on integers."""
 
 from __future__ import annotations
 

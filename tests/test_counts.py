@@ -8,8 +8,9 @@ moving Seshadri constants walk once, from the pulled-back decomposition,
 and build no vertices, that a moving Seshadri constant at a point of Neg(D)
 or Null(D) runs no walk, that a second query at a point builds no blow-up,
 that a polygon builds its vertices only when they are read, that pairings
-with the curve list read the model's curve table, and that the LP's pivots
-do not follow the order of the curves."""
+with the curve list read the model's curve table, that the blown-up
+queries decide their signs on that integer table, with no Fraction per
+curve, and that the LP's pivots do not follow the order of the curves."""
 
 from __future__ import annotations
 
@@ -118,7 +119,8 @@ def vertices(monkeypatch):
 def pairings(monkeypatch):
     """Count calls of lattice.pairing through every module that binds it,
     and of lattice.int_pairing in the chamber walk, which pairs the
-    integer vectors of P_t."""
+    integer vectors of P_t, and in zariski's nef and ample tests, which
+    pair integer numerators."""
     n = {"pairing": 0}
     pairing, int_pairing = lattice.pairing, lattice.int_pairing
 
@@ -130,9 +132,10 @@ def pairings(monkeypatch):
         n["pairing"] += 1
         return int_pairing(*args, **kwargs)
 
-    for module in (lattice, zariski, seshadri):
+    for module in (lattice, seshadri):
         monkeypatch.setattr(module, "pairing", counted_pairing)
-    monkeypatch.setattr(okounkov, "int_pairing", counted_int_pairing)
+    for module in (okounkov, zariski):
+        monkeypatch.setattr(module, "int_pairing", counted_int_pairing)
     return n
 
 
@@ -469,6 +472,39 @@ def test_mu_prime_keeps_its_not_big_message():
     m = sp.builtin("bl3p2")
     with pytest.raises(NotBig, match="mu' needs a big class"):
         sp.mu_prime(m, m.curve_class("E1"))
+
+
+@pytest.fixture
+def curve_pairings(monkeypatch):
+    """Count calls of SurfaceModel.curve_pairings, which builds one
+    Fraction per listed curve."""
+    n = {"curve_pairings": 0}
+    real = lattice.SurfaceModel.curve_pairings
+
+    def counted(self, d):
+        n["curve_pairings"] += 1
+        return real(self, d)
+
+    monkeypatch.setattr(lattice.SurfaceModel, "curve_pairings", counted)
+    return n
+
+
+@pytest.mark.parametrize("name, query, answer", [
+    ("bl3p2", sp.xi, 2),
+    ("bl5p2", lambda m, d: sp.moving_seshadri(m, d).value, 2),
+    ("bl5p2", zariski.is_nef, True),
+], ids=["xi", "moving-seshadri", "is-nef"])
+def test_blown_up_queries_read_signs_on_integers(curve_pairings, name,
+                                                 query, answer):
+    """The nef test, the directions through E and the null test of a
+    moving Seshadri constant read the integer curve table: no Fraction per
+    curve.  They took 2, 4 and 1 calls of curve_pairings when they did."""
+    m = sp.builtin(name)
+    # a blow-up validates its ample class against its curves when built
+    infinitesimal.blow_up(m)
+    curve_pairings["curve_pairings"] = 0
+    assert query(m, anti_canonical(m)) == answer
+    assert curve_pairings == {"curve_pairings": 0}
 
 
 def test_decomposition_pairs_only_through_the_curve_table(pairings):

@@ -25,7 +25,11 @@ curve in the direction of the curve (tangent).  The properties:
   exactly when its inertia is (1, rho-1, 0), by Descartes' rule of signs
   on the characteristic polynomial;
 - the pseudo-effectivity verdict, which may refuse a class by the ample
-  row before the LP, equals the LP's.
+  row before the LP, equals the LP's;
+- the nef and ample tests, the null set of ``loci`` and the directions
+  through the exceptional curve, which read signs off the integer curve
+  table, equal their definitions by ``lattice.pairing``, on the random
+  classes of ``conftest`` and on them times and over 10^40 + 121.
 
 The walk, xi and pulled-back properties need every negative curve
 listed, so they run on the models whose curve list is declared complete.
@@ -74,6 +78,8 @@ from conftest import (
     MATRIX_MODELS,
     assert_breakpoint_oracle,
     neg_curves_through,
+    random_pseff,
+    seeded_rng,
 )
 
 BASES = (["p2"] + [f"bl{r}p2" for r in range(1, 6)]
@@ -459,6 +465,72 @@ def test_pseudo_effectivity_verdict_equals_the_lp(which, data, sign):
     assert (pairing(model, d, a) > 0) - (pairing(model, d, a) < 0) == sign
     assert zariski.is_pseudo_effective(model, d) == \
         cone_contains(model.effective_gens(), d)
+
+
+# large enough that a numerator or a denominator has 40 digits
+SCALE = 10**40 + 121
+
+
+def scalings(d) -> list:
+    """d, d times SCALE and d over SCALE: the same signs on other
+    integers."""
+    return [d, tuple(x * SCALE for x in d), tuple(x / SCALE for x in d)]
+
+
+def positive_by_pairing(model, d, strict: bool) -> bool:
+    """The nef test (strict False) or Nakai's (strict True) by
+    ``lattice.pairing``: d^2, d.A and every d.C at least, or above, 0."""
+    values = [pairing(model, d, d), pairing(model, d, model.ample_ref),
+              *(pairing(model, d, c.cls) for c in model.curves)]
+    return all(v > 0 if strict else v >= 0 for v in values)
+
+
+def negative_curves_only(model) -> SurfaceModel:
+    """The model with only its negative curves listed, declared
+    incomplete: a class may pair non-negatively with every listed curve
+    and still have d^2 < 0 or d.A < 0."""
+    return model._replace(
+        curves=tuple(c for c in model.curves if c.self_int < 0),
+        completeness_declared=False)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_integer_signs_equal_the_pairing_definitions(base):
+    """On a base, its generic blow-up and the base with only its negative
+    curves listed: random effective classes (bumped along A or not, so
+    often ample) and random integer classes, their negatives and their
+    scalings.  is_nef and is_ample equal the pairing definitions, and the
+    null set of loci is the set of curves P pairs to 0 with.  Each blow-up
+    of :func:`points` lists as directions the negative curves C with
+    C.E >= 1."""
+    rng = seeded_rng(f"integer-signs-{base}")
+    for model in (model_of(base, "base"), model_of(base, "generic"),
+                  negative_curves_only(model_of(base, "base"))):
+        # p2 and hirzebruch-0 have no negative curve to combine
+        effective = [random_pseff(model, rng, ample_bump=bump)
+                     for bump in (0, 0, 1, 3) if model.curves]
+        for d in effective + [
+                tuple(Fraction(rng.randrange(-3, 4)) for _ in model.ample_ref)
+                for _ in range(4)]:
+            for v in scalings(d):
+                for w in (v, tuple(-x for x in v)):
+                    for strict, test in ((False, zariski.is_nef),
+                                         (True, zariski.is_ample)):
+                        assert test(model, w) == \
+                            positive_by_pairing(model, w, strict), (base, w)
+                # A is not effective when only the negative curves are
+                if d in effective and zariski.is_pseudo_effective(model, v):
+                    pair = sp.zariski_decompose(model, v)
+                    assert sp.loci(model, v).null_curves == frozenset(
+                        c.name for c in model.curves
+                        if pairing(model, pair.P, c.cls) == 0)
+    model = sp.builtin(base)
+    for x in points(model).values():
+        bm, _, exc = blow_up(model, x)
+        e = bm.curve_class(exc)
+        assert exceptional_directions(bm, exc) == [
+            c.name for c in bm.curves if c.name != exc and c.self_int < 0
+            and pairing(bm, c.cls, e) >= 1]
 
 
 @st.composite
