@@ -309,19 +309,19 @@ def xi(model: SurfaceModel, d: Sequence,
     if b.exc in b.pair.N_coeffs:
         through = [n for n in directions if n in b.pair.N_coeffs]
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_of_walk(b.model, b.exc, b.walk(), directions)
+    return _xi_of_walk(b.walk(), directions)
 
 
-def _xi_of_walk(bm: SurfaceModel, exc: str, walk: okounkov.Walk,
-                directions: Sequence[str]) -> ExactScalar:
-    """xi off the negative locus, from the walk on the blow-up: its value
-    at a generic y, re-verified at every special direction, the
-    :func:`exceptional_directions` of E."""
-    value = okounkov.largest_inverted_simplex(
-        walk.polygon(_flag_point(bm, exc, GENERIC_Y)))
+def _xi_of_walk(walk: okounkov.Walk, directions: Sequence[str]
+                ) -> ExactScalar:
+    """xi off the negative locus, read off the pieces of the walk on the
+    blow-up, with no polygon: its value at a generic y, through which no
+    curve passes, re-verified at every special direction, the
+    :func:`exceptional_directions` of E, each through E once."""
+    value = okounkov._inverted_simplex(walk.nu, walk.mu, walk._bounds(()))
     for name in directions:
-        special = walk.polygon(_flag_point(bm, exc, InfFlagSpec(on=name)))
-        if okounkov.largest_inverted_simplex(special) != value:
+        if okounkov._inverted_simplex(walk.nu, walk.mu,
+                                      walk._bounds(((name, 1),))) != value:
             raise ModelInconsistency(
                 f"xi depends on the direction {name}; model data is wrong")
     return value
@@ -339,7 +339,7 @@ def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     try:
         in_neg = b.exc in b.pair.N_coeffs
         return poly, None if in_neg else _xi_of_walk(
-            b.model, b.exc, walk, exceptional_directions(b.model, b.exc))
+            walk, exceptional_directions(b.model, b.exc))
     except ModelInconsistency:
         return poly, None
 
@@ -368,8 +368,8 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
     if any(p_dot[n] == 0 for n in directions):
         return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
                               value=Fraction(0))
-    return MovingSeshadri(SeshadriStatus.POSITIVE, value=_xi_of_walk(
-        b.model, b.exc, b.walk(), directions))
+    return MovingSeshadri(SeshadriStatus.POSITIVE,
+                          value=_xi_of_walk(b.walk(), directions))
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

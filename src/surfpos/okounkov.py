@@ -9,21 +9,26 @@ Between walls the support of N_t is constant and its coefficients are
 affine in t.  Walls occur where P_t stops pairing positively with a new
 curve; each is crossed by the decomposition fixpoint run on D - sC just
 past it (:func:`surfpos.zariski.chamber`).  The walk ends where (P_t)^2
-vanishes, the only breakpoint that may be a quadratic irrational.  It
-reads the candidate walls and that quadratic off the chamber's integer
-data, decides on rationals whether the quadratic vanishes before the next
-wall, and takes its root only in the chamber where it ends.  The walk
-depends on D and C only and x enters only through alpha, so one walk
-serves every point of C.  The polygon is convex, so a simplex lies inside
-it exactly when its vertices do: lambda and xi are read off the boundary
-at those vertices, from the pieces alone.  A :class:`NOPolygon` computes
-its vertex cycle when it is first read.
+vanishes, the only breakpoint that may be a quadratic irrational.
+
+The walk stays on the integers of its chambers: each piece keeps the
+coefficients of N_t and P_t . C over its chamber's denominator.  The next
+wall is the least of the candidate walls by cross-multiplication, whether
+the quadratic vanishes before it is decided on integers, and its root is
+taken only in the chamber where the walk ends: a Fraction is built per
+wall and one value for mu.  The walk depends on D and C only and x enters
+only through alpha, so one walk serves every point of C; the Fractions of
+alpha and beta are built in a point's polygon.  The polygon is convex, so
+a simplex lies inside it exactly when its vertices do: lambda and xi are
+read off the boundary at those vertices, xi off the walk's pieces with no
+polygon.  A :class:`NOPolygon` computes its vertex cycle when first read.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -37,15 +42,17 @@ from .errors import (
     OutOfRange,
 )
 from .lattice import DivisorClass, PointSpec, SurfaceModel, int_pairing
-from .scalars import ExactScalar, positive_quadratic_root, vector
+from .scalars import ExactScalar, positive_quadratic_root
 
 Affine = tuple[Fraction, Fraction]  # value c0 + c1 * t
 
 Point = tuple[ExactScalar, ExactScalar]
 
-# (t_lo, t_hi, coeffs, P_t . C): on [t_lo, t_hi], N_t is the sum of
-# coeffs[n] * n over its support, in curve order
-WalkPiece = tuple[Fraction, ExactScalar, dict[str, Affine], Affine]
+# (t_lo, t_hi, coeffs, blen, den): on [t_lo, t_hi], N_t is the sum of
+# (c[0] + t*c[1])/den * n over coeffs[n] = c, in curve order, and
+# P_t . C = (blen[0] + t*blen[1])/den, all on the chamber's integers
+WalkPiece = tuple[Fraction, ExactScalar, dict[str, tuple[int, int]],
+                  tuple[int, int], int]
 
 
 def _ev(f: Affine, t) -> ExactScalar:
@@ -103,20 +110,6 @@ class Classification(enum.Enum):
 # chamber walk
 # ----------------------------------------------------------------------
 
-def _transition(model: SurfaceModel, d: DivisorClass, flag_curve: str,
-                support: tuple[str, ...], t: Fraction) -> zariski.Chamber:
-    """The chamber of D - sC immediately to the right of the wall s = t,
-    grown by the decomposition fixpoint from the current support.  The flag
-    curve must not enter, even with coefficient zero: beta reads P_t . C."""
-    slope = vector([-x for x in model.curve_class(flag_curve)])
-    chamber = zariski.chamber(model, d, slope, t, support)
-    if flag_curve not in chamber.pairings:
-        raise FlagCurveReenters(
-            f"flag curve {flag_curve} enters the negative part past t={t}; "
-            "model data is inconsistent with the flag")
-    return chamber
-
-
 class Walk(NamedTuple):
     """The chamber walk of D along the flag curve C, for every point of C."""
 
@@ -125,22 +118,28 @@ class Walk(NamedTuple):
     flag_curve: str
     pieces: tuple[WalkPiece, ...]
 
+    def _bounds(self, through: Sequence[tuple[str, int]]) -> list[tuple]:
+        """alpha and beta on each piece, as in :func:`_inverted_simplex`,
+        at a point of C: alpha weighs N_t by the local multiplicities of
+        the curves ``through`` the point."""
+        out = []
+        for t_lo, t_hi, coeffs, (b0, b1), den in self.pieces:
+            a0 = sum(coeffs[n][0] * m for n, m in through if n in coeffs)
+            a1 = sum(coeffs[n][1] * m for n, m in through if n in coeffs)
+            out.append((t_lo, t_hi, a0, a1, a0 + b0, a1 + b1, den))
+        return out
+
     def polygon(self, point: PointSpec) -> NOPolygon:
-        """The polygon for the flag (C, point): alpha weighs the negative
-        part by the local multiplicities at the point, so only the curves
-        through the point count."""
+        """The polygon for the flag (C, point), whose Fractions are built
+        here from the walk's integers."""
         through = [(n, m) for n in point.local_mults
                    if (m := point.mult(n)) > 0]
-        pieces = []
-        for t_lo, t_hi, coeffs, blen in self.pieces:
-            alpha = (sum((coeffs[n][0] * m for n, m in through
-                          if n in coeffs), Fraction(0)),
-                     sum((coeffs[n][1] * m for n, m in through
-                          if n in coeffs), Fraction(0)))
-            beta = (alpha[0] + blen[0], alpha[1] + blen[1])
-            pieces.append(PolygonPiece(t_lo, t_hi, alpha, beta,
-                                       tuple(coeffs)))
-        return NOPolygon(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
+        pieces = tuple(
+            PolygonPiece(t_lo, t_hi, (Fraction(a0, den), Fraction(a1, den)),
+                         (Fraction(b0, den), Fraction(b1, den)), tuple(w[2]))
+            for w, (t_lo, t_hi, a0, a1, b0, b1, den)
+            in zip(self.pieces, self._bounds(through)))
+        return NOPolygon(nu=self.nu, mu=self.mu, pieces=pieces,
                          flag_curve=self.flag_curve)
 
 
@@ -160,13 +159,20 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     negative part of its decomposition (by name, in curve order)."""
     nu = n_coeffs.get(flag_curve, Fraction(0))
     support = tuple(n for n in n_coeffs if n != flag_curve)
-    chamber = _transition(model, d, flag_curve, support, nu)
-
+    slope = tuple(-x for x in model.curve(flag_curve).cls)
     pieces: list[WalkPiece] = []
     t0 = nu
-    guard = len(model.curves) * (model.rank + 2) + 4
-    for _ in range(guard):
-        next_wall = _next_wall(chamber, t0)
+    for _ in range(len(model.curves) * (model.rank + 2) + 4):
+        # the chamber just right of t0, grown by the fixpoint from the
+        # support; the flag curve must not enter, even with coefficient
+        # zero: beta reads P_t . C
+        chamber = zariski.chamber(model, d, slope, t0, support)
+        if flag_curve not in chamber.pairings:
+            raise FlagCurveReenters(
+                f"flag curve {flag_curve} enters the negative part past "
+                f"t={t0}; model data is inconsistent with the flag")
+        if not set(support) <= set(chamber.support):
+            raise ModelInconsistency("negative-part support decreased")
         p0, p1 = chamber.p
         # (P_t)^2 as a quadratic in t, times den^2
         q = (int_pairing(model, p1, p1), 2 * int_pairing(model, p0, p1),
@@ -174,29 +180,24 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
         if _sign_at(q, t0) <= 0:
             raise ModelInconsistency(
                 f"volume not positive at t={t0} inside the walk")
-        blen = chamber.curve_pairing(flag_curve)
-        if next_wall is None or _root_before(q, t0, next_wall):
-            # the root for p0 = g*p0' is g times the one for p0', whose
-            # discriminant is smaller by g^2: the root of kD factors no k^2
-            g = math.gcd(*p0) or 1
-            try:
-                mu = g * positive_quadratic_root(
-                    q[0], q[1] // g, q[2] // (g * g), t0 / g)
-            except NoRealRoot:
-                raise ModelInconsistency(
-                    "chamber walk found neither a wall nor a volume "
-                    "root") from None
-            pieces.append((t0, mu, chamber.coeffs, blen))
-            break
-        pieces.append((t0, next_wall, chamber.coeffs, blen))
-        support = chamber.support
-        chamber = _transition(model, d, flag_curve, support, next_wall)
-        if not set(support) <= set(chamber.support):
-            raise ModelInconsistency("negative-part support decreased")
-        t0 = next_wall
-    else:
-        raise ModelInconsistency("chamber walk did not terminate")
-    return Walk(nu=nu, mu=mu, flag_curve=flag_curve, pieces=tuple(pieces))
+        piece = (chamber.coeffs, chamber.pairings[flag_curve], chamber.den)
+        wall = _next_wall(chamber, t0)
+        if wall is not None and not _root_before(q, t0, wall):
+            pieces.append((t0, wall, *piece))
+            support, t0 = chamber.support, wall
+            continue
+        # the root for p0 = g*p0' is g times the one for p0', whose
+        # discriminant is smaller by g^2: the root of kD factors no k^2
+        g = math.gcd(*p0) or 1
+        try:
+            mu = g * positive_quadratic_root(q[0], q[1] // g, q[2] // (g * g),
+                                             t0 / g)
+        except NoRealRoot:
+            raise ModelInconsistency(
+                "chamber walk found neither a wall nor a volume root") from None
+        pieces.append((t0, mu, *piece))
+        return Walk(nu=nu, mu=mu, flag_curve=flag_curve, pieces=tuple(pieces))
+    raise ModelInconsistency("chamber walk did not terminate")
 
 
 def _sign_at(q: tuple[int, int, int], t: Fraction) -> int:
@@ -221,16 +222,18 @@ def _root_before(q: tuple[int, int, int], t0: Fraction,
 
 def _next_wall(chamber: zariski.Chamber, t0: Fraction) -> Optional[Fraction]:
     """The first wall past t0: where P_t . C drops to 0 for a curve outside
-    the support, its sign at t0 read on integers.  A coefficient crossing 0
-    (inconsistent data) is a wall too, so that the fixpoint past it
-    diagnoses it."""
+    the support.  A coefficient crossing 0 (inconsistent data) is a wall
+    too, so that the fixpoint past it diagnoses it.  Each is some
+    (n0 + t*n1)/den that falls, is positive at t0 and vanishes at
+    n0/(-n1); the least is found by cross-multiplying integers."""
     tn, td = t0.numerator, t0.denominator
-    # (n0 + t*n1)/den falls, and is positive at t0
-    walls = [Fraction(n0, -n1) for n0, n1 in chamber.pairings.values()
-             if n1 < 0 and n0 * td + tn * n1 > 0]
-    walls += [-c0 / c1 for c0, c1 in chamber.coeffs.values()
-              if c1 < 0 and _ev((c0, c1), t0) > 0]
-    return min(walls) if walls else None
+    wall = None
+    for n0, n1 in itertools.chain(chamber.pairings.values(),
+                                  chamber.coeffs.values()):
+        if n1 < 0 < n0 * td + tn * n1 and (
+                wall is None or n0 * wall[1] < -n1 * wall[0]):
+            wall = (n0, -n1)
+    return None if wall is None else Fraction(*wall)
 
 
 def okounkov_polygon(model: SurfaceModel, d: Sequence, flag_curve: str,
@@ -300,19 +303,28 @@ def polygon_interior_contains(poly: NOPolygon, pt: Point) -> bool:
     return poly.alpha(t) < y < poly.beta(t)
 
 
+def _polygon_bounds(poly: NOPolygon) -> list[tuple]:
+    """The pieces of a polygon as in :func:`_inverted_simplex`."""
+    return [(p.t_lo, p.t_hi, *p.alpha, *p.beta, 1) for p in poly.pieces]
+
+
+def _alpha_zero_prefix(mu: ExactScalar, bounds: Sequence[tuple]
+                       ) -> ExactScalar:
+    """sup of the initial interval on which alpha vanishes identically."""
+    for t_lo, _, a0, a1, *_ in bounds:
+        # the sign of alpha(t_lo), times den and the denominator of t_lo
+        v = a0 * t_lo.denominator + a1 * t_lo.numerator
+        if v < 0 or v == 0 and a1 < 0:
+            raise ModelInconsistency(
+                "alpha went negative" if v < 0 else "alpha decreasing")
+        if v or a1:
+            return t_lo
+    return mu
+
+
 def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
-    for p in poly.pieces:
-        v = _ev(p.alpha, p.t_lo)
-        if v > 0:
-            return p.t_lo
-        if v < 0:
-            raise ModelInconsistency("alpha went negative")
-        if p.alpha[1] > 0:
-            return p.t_lo
-        if p.alpha[1] < 0:
-            raise ModelInconsistency("alpha decreasing")
-    return poly.mu
+    return _alpha_zero_prefix(poly.mu, _polygon_bounds(poly))
 
 
 def largest_simplex(poly: NOPolygon) -> ExactScalar:
@@ -331,21 +343,30 @@ def largest_simplex(poly: NOPolygon) -> ExactScalar:
 
 def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon."""
-    if poly.nu != 0:
+    return _inverted_simplex(poly.nu, poly.mu, _polygon_bounds(poly))
+
+
+def _inverted_simplex(nu: Fraction, mu: ExactScalar, bounds: Sequence[tuple]
+                      ) -> ExactScalar:
+    """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon on
+    [nu, mu] whose boundary pieces are ``bounds``: each is
+    (t_lo, t_hi, a0, a1, b0, b1, den) with alpha = (a0 + t*a1)/den and
+    beta = (b0 + t*b1)/den on [t_lo, t_hi], for den > 0.  A walk gives
+    them on its integers, a polygon on its Fractions over 1; every sign
+    is read on the numerators."""
+    if nu != 0:
         return Fraction(0)
-    t_alpha = alpha_zero_prefix(poly)
-    t_beta: ExactScalar = poly.mu
-    for p in poly.pieces:
-        h_lo = _ev(p.beta, p.t_lo) - p.t_lo
-        slope = p.beta[1] - 1
-        if h_lo < 0:
-            t_beta = p.t_lo
+    t_alpha = _alpha_zero_prefix(mu, bounds)
+    t_beta: ExactScalar = mu
+    for t_lo, t_hi, _, _, b0, b1, den in bounds:
+        # beta(t) - t = (b0 + t*(b1 - den))/den: negative at t_lo, or
+        # falling to 0 at b0/(den - b1) inside the piece
+        if b0 * t_lo.denominator + (b1 - den) * t_lo.numerator < 0:
+            t_beta = t_lo
             break
-        if slope < 0:
-            root = p.t_lo + h_lo / (-slope)
-            if root < p.t_hi:
-                t_beta = root
-                break
+        if b1 < den and (root := Fraction(b0, den - b1)) < t_hi:
+            t_beta = root
+            break
     return t_alpha if t_alpha <= t_beta else t_beta
 
 

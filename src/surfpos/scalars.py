@@ -5,11 +5,14 @@ a + b*sqrt(d) of a real quadratic field.  All comparisons and all branch
 decisions are made in exact rational arithmetic; floats never enter any
 decision path (they only appear as display approximations).
 
-Matrices and vectors are plain tuples of Fractions.  The surfaces handled
-by this package have Picard rank at most nine: one fraction-free
-Gauss-Jordan row reduction on integer-scaled rows serves solving, rank,
-inverses and, by Sylvester's criterion on its pivots, negative
-definiteness.
+The one root routine, :func:`positive_quadratic_root`, decides on integers
+and builds one Fraction or one Quad for the root it returns.  Matrices
+and vectors are plain tuples of Fractions.  The surfaces handled by this
+package have Picard rank at most nine: one fraction-free Gauss-Jordan row
+reduction on integer-scaled rows serves solving, rank, inverses and, by
+Sylvester's criterion on its pivots, negative definiteness; a negative
+definite solve also hands back its integer numerators over one
+denominator.
 """
 
 from __future__ import annotations
@@ -221,30 +224,42 @@ def rational_sqrt(x) -> ExactScalar:
 def positive_quadratic_root(c2, c1, c0, lower=0) -> ExactScalar:
     """Smallest root of c2*t^2 + c1*t + c0 = 0 that is >= ``lower``.
 
-    Returns a Fraction when the discriminant is a perfect square, a Quad
-    otherwise.  Degenerates gracefully to the linear case when c2 = 0.
+    Decided on integers: the coefficients and ``lower`` are scaled once,
+    the content and the sign of c2 taken out, and a root is placed against
+    ``lower`` by comparing squares.  Returns a Fraction when the
+    discriminant is a perfect square, else the Quad of :func:`quad`.
+    Degenerates gracefully to the linear case when c2 = 0.
     """
-    c2, c1, c0 = _frac(c2), _frac(c1), _frac(c0)
-    lower = _frac(lower)
+    if not all(isinstance(x, (int, Fraction)) for x in (c2, c1, c0, lower)):
+        raise TypeError("expected exact rationals")
+    # lower = a/b with b > 0, and the coefficients over the same b
+    (c2, c1, c0, a), b = scaled((c2, c1, c0, lower))
+    if c2 < 0 or c2 == 0 and c1 < 0:
+        c2, c1, c0 = -c2, -c1, -c0
     if c2 == 0:
         if c1 == 0:
             raise NoRealRoot("constant polynomial has no root")
-        t = -c0 / c1
-        if t >= lower:
-            return t
-        raise NoRealRoot(f"linear root {t} below {lower}")
+        if -c0 * b >= a * c1:
+            return Fraction(-c0, c1)
+        raise NoRealRoot(f"linear root {Fraction(-c0, c1)} below {lower}")
+    g = math.gcd(c2, c1, c0)
+    c2, c1, c0 = c2 // g, c1 // g, c0 // g
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         raise NoRealRoot("negative discriminant")
-    sq = rational_sqrt(disc)
-    r1, r2 = ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2))
-    if r1 > r2:
-        r1, r2 = r2, r1
-    if r1 >= lower:
-        return r1
-    if r2 >= lower:
-        return r2
-    raise NoRealRoot(f"no root >= {lower}")
+    # (-c1 + sign*sqrt(disc))/(2*c2) >= a/b iff sign*b*sqrt(disc) >= w;
+    # past the first test, w <= 0 gives disc*b*b > w*w
+    w = 2 * c2 * a + c1 * b
+    if w <= 0 and disc * b * b <= w * w:
+        sign = -1
+    elif disc * b * b >= w * w:
+        sign = 1
+    else:
+        raise NoRealRoot(f"no root >= {lower}")
+    r = math.isqrt(disc)
+    if r * r == disc:
+        return Fraction(-c1 + sign * r, 2 * c2)
+    return quad(Fraction(-c1, 2 * c2), Fraction(sign, 2 * c2), disc)
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +326,6 @@ def _square_rows(g: Sequence[Sequence], what: str, *columns: Sequence
             for i, row in enumerate(g)]
 
 
-def _solutions(a: list[list[int]]) -> Matrix:
-    """X with g * X = the columns past g, in a reduced full-rank system."""
-    return tuple(tuple(Fraction(x, row[i]) for x in row[len(a):])
-                 for i, row in enumerate(a))
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     a = [scaled(row)[0] for row in rows]
     return len(_row_reduce(a, len(a[0]))[0]) if a else 0
@@ -328,22 +337,41 @@ def inverse(g: Sequence[Sequence]) -> Matrix:
                      *([int(i == j) for i in range(n)] for j in range(n)))
     if len(_row_reduce(a, n)[0]) < n:
         raise SingularMatrix("zero pivot column")
-    return _solutions(a)
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                 for i, row in enumerate(a))
 
 
 def solve_negative_definite(g: Sequence[Sequence], *rhs: Sequence
                             ) -> Optional[tuple[Vector, ...]]:
     """The solutions of g * x = b for each b in ``rhs`` if the symmetric g
-    is negative definite, else None: by Sylvester's criterion, iff the
-    pivots alternate -, +, -, ... with no row swap (a zero leading minor)."""
+    is negative definite, else None: the Fractions of
+    :func:`_negative_definite_solution`."""
     a = _square_rows(g, "solve_negative_definite", *rhs)
     if tuple(map(tuple, g)) != tuple(zip(*g)):
         raise NotSymmetric("the form is not symmetric")
-    pivots, swaps = _row_reduce(a, len(a))
-    if swaps or len(pivots) < len(a) or any(
+    sol = _negative_definite_solution(a)
+    if sol is None:
+        return None
+    nums, den = sol
+    return tuple(tuple(Fraction(x, den) for x in col) for col in zip(*nums))
+
+
+def _negative_definite_solution(a: list[list[int]]
+                                ) -> Optional[tuple[list[list[int]], int]]:
+    """For the integer rows of [g | b_1 ... b_m], g symmetric: integers
+    x[i][k] and one den > 0 with g * x[.][k] = den * b_k if g is negative
+    definite, else None.  By Sylvester's criterion it is iff the pivots
+    alternate -, +, -, ... with no row swap (a zero leading minor).  Then
+    every diagonal entry ends as the last pivot, det g, over which the
+    columns past g are the numerators."""
+    n = len(a)
+    pivots, swaps = _row_reduce(a, n)
+    if swaps or len(pivots) < n or any(
             (p < 0) != (k % 2 == 0) for k, p in enumerate(pivots)):
         return None
-    return tuple(zip(*_solutions(a)))
+    sign = -1 if n % 2 else 1  # the sign of det g
+    return ([[sign * x for x in row[n:]] for row in a],
+            sign * pivots[-1] if n else 1)
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:

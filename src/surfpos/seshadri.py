@@ -37,8 +37,7 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     a = model.divisor(a)
     if not zariski.is_nef(model, a):
         raise NotNef("Seshadri constants need a nef class")
-    bm, pullback, exc = infinitesimal.blow_up(model, x)
-    ups = bm.curve_pairings(pullback(a))
+    bm, _, exc = infinitesimal.blow_up(model, x)
     # sqrt(A^2) = c*sqrt(A'^2) for A = c*A' with A' integral and primitive,
     # as in the chamber walk: the root of kA factors no k^2
     num, den = scaled(a)
@@ -46,9 +45,14 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     prim = [x // g for x in num]
     best: ExactScalar = (Fraction(g, den)
                          * rational_sqrt(int_pairing(model, prim, prim)))
-    for n, m in bm.curve_pairings(bm.curve_class(exc)).items():
-        if n != exc and m > 0:
-            best = min(best, ups[n] / m)
+    # the least (pi*A . C)/m, m = C . E > 0, compared on the integer table
+    ups, least = bm.curve_dots([*num, 0]), None
+    for n, m in bm.curve_dots(bm.curve(exc).cls).items():
+        if n != exc and m > 0 and (least is None
+                                   or ups[n] * least[1] < least[0] * m):
+            least = ups[n], m
+    if least is not None:
+        best = min(best, Fraction(least[0], least[1] * den))
     return best
 
 

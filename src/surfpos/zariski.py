@@ -14,9 +14,9 @@ integer vectors over one common denominator, every P.C is an integer dot
 with the model's curve table, and every sign, of a pairing or of a
 coefficient, is decided on integers scaled by den.  The support's integer
 Gram matrix, read off the same table, is checked negative definite and
-solved for every part in one fraction-free elimination.  Fractions are
-built only for the solutions that elimination returns, and for what a
-caller of the chamber reads.
+solved for every part in one fraction-free elimination, which hands back
+integer numerators over its determinant.  A chamber holds no Fraction:
+they are built only for what a caller of the chamber reads.
 """
 
 from __future__ import annotations
@@ -78,15 +78,16 @@ def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
 class Chamber(NamedTuple):
     """Zariski data of d + s*slope just right of s = t, on integers.
 
-    Each affine quantity is kept as its parts: the value at s = 0, then the
-    slope when one is given.  P = (p[0] + s*p[1])/den for integer vectors
-    p[k], and ``pairings`` holds, for every curve outside the candidate
-    support, the integers n[k] with P.C = (n[0] + s*n[1])/den.  N is the
-    sum of (c[0] + s*c[1]) * C over ``support`` (in curve order) with
+    Each affine quantity is kept as its integer parts over the one
+    denominator ``den``: the value at s = 0, then the slope when one is
+    given.  P = (p[0] + s*p[1])/den for integer vectors p[k], and
+    ``pairings`` holds, for every curve outside the candidate support, the
+    integers n[k] with P.C = (n[0] + s*n[1])/den.  N is the sum of
+    (c[0] + s*c[1])/den * C over ``support`` (in curve order) with
     coeffs[C] = c.  With no slope every tuple has the one part at s = 0."""
 
     support: tuple[str, ...]
-    coeffs: dict[str, tuple[Fraction, ...]]
+    coeffs: dict[str, tuple[int, ...]]
     pairings: dict[str, tuple[int, ...]]
     p: tuple[tuple[int, ...], ...]
     den: int
@@ -94,10 +95,6 @@ class Chamber(NamedTuple):
     def positive_part(self) -> DivisorClass:
         """P at s = 0."""
         return tuple(Fraction(x, self.den) for x in self.p[0])
-
-    def curve_pairing(self, name: str) -> tuple[Fraction, ...]:
-        """The parts of P.C for a curve outside the support."""
-        return tuple(Fraction(n, self.den) for n in self.pairings[name])
 
 
 def chamber(model: SurfaceModel, d: DivisorClass,
@@ -128,17 +125,17 @@ def chamber(model: SurfaceModel, d: DivisorClass,
     while True:
         p, den, qs, coeffs = q, e, dots, {}
         if names:
-            sols = solve_negative_definite(model.gram_submatrix(names), *(
-                [dk[n] for n in names] for dk in dots))
-            if sols is None:
+            # the model's Gram matrix is symmetric, so its support's is
+            sol = scalars._negative_definite_solution(
+                [[*row, *(dk[n] for dk in dots)]
+                 for row, n in zip(model.gram_submatrix(names), names)])
+            if sol is None:
                 raise ModelInconsistency(
                     "support Gram matrix not negative definite for "
                     f"{names}; curve list is incomplete or wrong")
             # the coefficients of each part, times e * k
-            k = math.lcm(*(x.denominator for xs in sols for x in xs))
-            ints = [[x.numerator * (k // x.denominator) for x in xs]
-                    for xs in sols]
-            coeffs = dict(zip(names, zip(*ints)))
+            ints, k = sol
+            coeffs = dict(zip(names, map(tuple, ints)))
             if any(starmap(negative, coeffs.values())):
                 raise ModelInconsistency(
                     f"negative coefficient in candidate negative part "
@@ -156,9 +153,7 @@ def chamber(model: SurfaceModel, d: DivisorClass,
         if not entering:
             order = tuple(n for n in qs[0]
                           if n in coeffs and any(coeffs[n]))
-            return Chamber(order, {n: tuple(Fraction(c, den)
-                                            for c in coeffs[n])
-                                   for n in order},
+            return Chamber(order, {n: coeffs[n] for n in order},
                            pairings, tuple(map(tuple, p)), den)
         names += entering
 
@@ -170,7 +165,8 @@ def zariski_decompose(model: SurfaceModel, d: Sequence) -> ZariskiPair:
         raise NotPseudoEffective(f"({coords}) is not in the effective cone")
     ch = chamber(model, d)
     return ZariskiPair(P=ch.positive_part(),
-                       N_coeffs={n: c[0] for n, c in ch.coeffs.items()},
+                       N_coeffs={n: Fraction(c[0], ch.den)
+                                 for n, c in ch.coeffs.items()},
                        support=ch.support,
                        relative=not model.completeness_declared)
 
@@ -235,7 +231,8 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
     p = model.divisor(p)
     if not is_nef(model, p):
         raise NotBigNef("perturbation needs a nef class")
-    null = [n for n, v in model.curve_pairings(p).items() if v == 0]
+    num = scaled(p)[0]
+    null = [n for n, v in model.curve_dots(num).items() if v == 0]
     if not null:
         if not is_ample(model, p):
             raise NotBigNef("nef class with empty null locus but zero square")
@@ -246,7 +243,7 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
         raise ModelInconsistency(
             f"Gram matrix of null curves {null} is not negative definite; "
             "the class is not big")
-    if self_intersection(model, p) <= 0:
+    if int_pairing(model, num, num) <= 0:
         raise NotBigNef("perturbation needs a big class")
     a = sol[0]
     if any(x < 0 for x in a):

@@ -1,7 +1,9 @@
 """Shared fixtures: the model/flag/class test matrix, the independent
 per-t decomposition oracle used to cross-check chamber walks, Harbourne's
 W(E_r) reduction as an oracle for the decomposition on del Pezzo lattices,
-and a wall-clock alarm for tests that must not factor large integers."""
+the Fraction and Quad route to a quadratic's root as an oracle for the
+integer one, and a wall-clock alarm for tests that must not factor large
+integers."""
 
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import surfpos as sp
-from surfpos.errors import NotPseudoEffective, PointInNegLocus
+from surfpos.errors import NoRealRoot, NotPseudoEffective, PointInNegLocus
 from surfpos.lattice import PointSpec
-from surfpos.scalars import Quad
+from surfpos.scalars import Quad, rational_sqrt
 
 MATRIX_MODELS = ["p2", "bl1p2", "bl2p2", "bl3p2", "hirzebruch-2",
                  "example-interesting"]
@@ -146,6 +148,30 @@ def harbourne_decompose(model, d) -> sp.ZariskiPair:
     n_coeffs = {names[e[:rho]]: Fraction(a, den) for e, a in n.items()}
     return sp.ZariskiPair(tuple(Fraction(x, den) for x in p[:rho]),
                           n_coeffs, tuple(sorted(n_coeffs)))
+
+
+def fraction_quadratic_root(c2, c1, c0, lower=0):
+    """Smallest root of c2*t^2 + c1*t + c0 that is >= lower, by Fraction
+    and Quad arithmetic: both roots built and compared as exact scalars,
+    as ``scalars.positive_quadratic_root`` did before it decided on
+    integers."""
+    c2, c1, c0, lower = map(Fraction, (c2, c1, c0, lower))
+    if c2 == 0:
+        if c1 == 0:
+            raise NoRealRoot("constant polynomial has no root")
+        t = -c0 / c1
+        if t >= lower:
+            return t
+        raise NoRealRoot(f"linear root {t} below {lower}")
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        raise NoRealRoot("negative discriminant")
+    sq = rational_sqrt(disc)
+    r1, r2 = sorted(((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)))
+    for r in (r1, r2):
+        if r >= lower:
+            return r
+    raise NoRealRoot(f"no root >= {lower}")
 
 
 def random_pseff(model, rng, ample_bump=0):

@@ -10,7 +10,12 @@ from the code before ``Quad`` took its present form, and a changed byte is
 a changed answer.  Three later lines pin the blown-up queries of a nef
 class: the moving Seshadri constant of -K on bl5p2, the infinitesimal
 polygon and xi of 4H - E1 - E2 - E3 on bl3p2, and the Seshadri constant
-of -K on bl6p2, recorded before their signs were read on integers."""
+of -K on bl6p2, recorded before their signs were read on integers.  Four
+more pin the infinitesimal polygon, xi and the moving Seshadri constant,
+recorded before xi was read off the walk's integers: 3H - 2E1 - E2 on
+bl2p2 at a generic point, whose walk has three pieces, and 4H - E on
+bl1p2 at a point of E, read from ``point-on-e.json`` in the working
+directory, where mu' = -1 + 4 sqrt(2)."""
 
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json")
 def test_cli_output_bytes(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save(relative_model(), "relative.json")
+    (tmp_path / "point-on-e.json").write_text(json.dumps({"mults": {"E": 1}}))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(line.split())

@@ -5,12 +5,12 @@ wide its tableau is.
 These pin that a walk decides bigness once, that a blown-up query decides
 a nef class on a complete base with no LP and no fixpoint, that xi and
 moving Seshadri constants walk once, from the pulled-back decomposition,
-and build no vertices, that a moving Seshadri constant at a point of Neg(D)
+and build no polygon and no vertices, that a moving Seshadri constant at a point of Neg(D)
 or Null(D) runs no walk, that a second query at a point builds no blow-up,
 that a polygon builds its vertices only when they are read, that pairings
 with the curve list read the model's curve table, that the blown-up
-queries decide their signs on that integer table, with no Fraction per
-curve, and that the LP's pivots do not follow the order of the curves."""
+queries, the Seshadri constant and the ample perturbation decide their
+signs on that integer table, with no Fraction per curve, and that the LP's pivots do not follow the order of the curves."""
 
 from __future__ import annotations
 
@@ -112,6 +112,27 @@ def vertices(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(okounkov, "_vertices", counted_vertices)
+    return n
+
+
+@pytest.fixture
+def polygons(monkeypatch):
+    """Count the NOPolygons built by okounkov, and every call of
+    zariski.chamber: the walk's chambers, with or without a slope."""
+    n = {"polygon": 0, "chamber": 0}
+    chamber = zariski.chamber
+
+    class Counted(okounkov.NOPolygon):
+        def __new__(cls, *args, **kwargs):
+            n["polygon"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    def counted_chamber(*args, **kwargs):
+        n["chamber"] += 1
+        return chamber(*args, **kwargs)
+
+    monkeypatch.setattr(okounkov, "NOPolygon", Counted)
+    monkeypatch.setattr(zariski, "chamber", counted_chamber)
     return n
 
 
@@ -391,6 +412,21 @@ def test_xi_builds_no_vertices(vertices, query):
     assert vertices["vertices"] == 0
 
 
+@pytest.mark.parametrize("name, query, d, value", [
+    ("bl3p2", sp.xi, (4, -1, -1, -1), 3),
+    ("bl4p2", lambda m, d: sp.moving_seshadri(m, d).value, None, 2),
+], ids=["xi", "moving-seshadri"])
+def test_xi_builds_no_polygon(polygons, name, query, d, value):
+    """xi is read off the walk's integer pieces at the generic y and at
+    each special direction: no NOPolygon, where one polygon for the
+    generic y and one per direction made 4 and 6.  The walk runs its two
+    chambers, the one at t = 0 and the one past the wall.  d = None is
+    -K."""
+    m = sp.builtin(name)
+    assert query(m, anti_canonical(m) if d is None else d) == value
+    assert polygons == {"polygon": 0, "chamber": 2}
+
+
 def test_cli_infinitesimal_builds_one_vertex_set(vertices):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -504,6 +540,20 @@ def test_blown_up_queries_read_signs_on_integers(curve_pairings, name,
     infinitesimal.blow_up(m)
     curve_pairings["curve_pairings"] = 0
     assert query(m, anti_canonical(m)) == answer
+    assert curve_pairings == {"curve_pairings": 0}
+
+
+def test_seshadri_and_perturbation_read_signs_on_integers(curve_pairings):
+    """The Seshadri constant reads A.C and E.C for the curves of the
+    blow-up, and the ample perturbation its null curves, on the integer
+    curve table: one Fraction, for the bound kept, where each took one or
+    two calls of curve_pairings."""
+    m = sp.builtin("bl6p2")
+    infinitesimal.blow_up(m)
+    curve_pairings["curve_pairings"] = 0
+    assert seshadri.seshadri_direct(m, anti_canonical(m)) == Fraction(3, 2)
+    assert zariski.ample_perturbation(sp.builtin("bl1p2"), (1, 0)) == \
+        ({"E": 1}, Fraction(1, 2))
     assert curve_pairings == {"curve_pairings": 0}
 
 

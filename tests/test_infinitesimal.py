@@ -601,17 +601,18 @@ def test_lowerbound_equivalences():
 
 
 def test_xi_checks_every_direction(monkeypatch):
-    """xi is taken at a generic y and re-checked at each special direction;
-    a direction that disagrees is reported as inconsistent model data."""
-    real = okounkov.largest_inverted_simplex
+    """xi is taken at a generic y and re-checked at each special direction,
+    both off the pieces of the walk; a direction that disagrees is
+    reported as inconsistent model data."""
+    real = okounkov._inverted_simplex
     calls = []
 
-    def disagreeing(poly):
-        calls.append(poly)
+    def disagreeing(nu, mu, bounds):
+        calls.append(bounds)
         # the first call is the generic y, every later one a direction
-        return real(poly) + (1 if len(calls) > 1 else 0)
+        return real(nu, mu, bounds) + (1 if len(calls) > 1 else 0)
 
-    monkeypatch.setattr(okounkov, "largest_inverted_simplex", disagreeing)
+    monkeypatch.setattr(okounkov, "_inverted_simplex", disagreeing)
     with pytest.raises(ModelInconsistency,
                        match="xi depends on the direction"):
         sp.xi(sp.builtin("bl3p2"), (3, -1, -1, -1))

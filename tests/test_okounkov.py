@@ -469,8 +469,8 @@ def test_flag_reentry_guard():
     from surfpos import okounkov as ok
     from surfpos.errors import FlagCurveReenters
     b1 = sp.builtin("bl1p2")
-    with pytest.raises(FlagCurveReenters):
-        ok._transition(b1, b1.divisor((3, 1)), "E", (), Fraction(0))
+    with pytest.raises(FlagCurveReenters, match="past t=0"):
+        ok._walk_from(b1, b1.divisor((3, 1)), "E", {})
 
 
 def test_largest_simplex_and_inverted():

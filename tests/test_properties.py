@@ -11,7 +11,12 @@ curve in the direction of the curve (tangent).  The properties:
 - the chamber walk equals the per-t oracle at every rational breakpoint
   and inside every piece;
 - xi equals the largest inverted simplex of the full infinitesimal
-  polygon at the generic y and at every special direction;
+  polygon at the generic y and at every special direction, and of the
+  walk's polygons (the route xi took before it read the walk's pieces),
+  on the random classes of ``conftest`` and on them times 10^40 + 121;
+- the integer ``scalars.positive_quadratic_root`` equals the Fraction
+  and Quad route of ``conftest``, for square, non-square and
+  non-squarefree discriminants;
 - the pulled-back decomposition a blown-up walk starts from equals the
   decomposition fixpoint on the blow-up, also at points of Neg(D);
 - moving Seshadri constants and xi, which read Neg(D) and Null(D) at x
@@ -53,6 +58,7 @@ from surfpos.errors import (
     InconsistentMultiplicities,
     InvariantViolation,
     ModelInconsistency,
+    NoRealRoot,
     PointInNegLocus,
     SingularMatrix,
 )
@@ -60,6 +66,8 @@ from surfpos.infinitesimal import (
     GENERIC_POINT,
     BlowupSpec,
     InfFlagSpec,
+    _blown_up,
+    _flag_point,
     _pulled_back_start,
     blow_up,
     exceptional_directions,
@@ -77,7 +85,9 @@ from surfpos.lattice import (
 from conftest import (
     MATRIX_MODELS,
     assert_breakpoint_oracle,
+    fraction_quadratic_root,
     neg_curves_through,
+    random_big,
     random_pseff,
     seeded_rng,
 )
@@ -303,7 +313,8 @@ def test_pulled_back_start_is_the_decomposition_on_the_blow_up(data):
     bm, pullback, exc = blow_up(model, x)
     start = _pulled_back_start(pair, x, exc)
     ch = zariski.chamber(bm, pullback(d))
-    assert list(start.items()) == [(n, c[0]) for n, c in ch.coeffs.items()]
+    assert list(start.items()) == [(n, Fraction(c[0], ch.den))
+                                   for n, c in ch.coeffs.items()]
     assert (exc in start) == bool(neg_curves_through(model, pair, x.mults))
 
 
@@ -395,8 +406,9 @@ def test_chamber_pairings_are_those_of_its_positive_part(data):
     plain = zariski.chamber(model, d)
     zero = zariski.chamber(model, d, (Fraction(0),) * model.rank)
     assert zero.support == plain.support
-    assert ({n: c[0] for n, c in zero.coeffs.items()}
-            == {n: c[0] for n, c in plain.coeffs.items()})
+    assert ({n: Fraction(c[0], zero.den) for n, c in zero.coeffs.items()}
+            == {n: Fraction(c[0], plain.den)
+                for n, c in plain.coeffs.items()})
     assert zero.positive_part() == plain.positive_part()
     try:
         sloped = zariski.chamber(model, d, slope, t)
@@ -413,7 +425,8 @@ def test_chamber_pairings_are_those_of_its_positive_part(data):
         assert len(ch.p) == len(parts)
         p = [tuple(Fraction(x, ch.den) for x in v) for v in ch.p]
         for k, part in enumerate(parts):
-            n = combination(model, {c: a[k] for c, a in ch.coeffs.items()})
+            n = combination(model, {c: Fraction(a[k], ch.den)
+                                    for c, a in ch.coeffs.items()})
             assert tuple(x + y for x, y in zip(p[k], n)) == tuple(part)
         assert set(ch.support).isdisjoint(ch.pairings)
         for name, ints in ch.pairings.items():
@@ -531,6 +544,90 @@ def test_integer_signs_equal_the_pairing_definitions(base):
         assert exceptional_directions(bm, exc) == [
             c.name for c in bm.curves if c.name != exc and c.self_int < 0
             and pairing(bm, c.cls, e) >= 1]
+
+
+@pytest.mark.parametrize("base", ["p2"] + [f"bl{r}p2" for r in range(1, 6)])
+def test_xi_equals_the_inverted_simplex_of_the_walk_polygons(base):
+    """The route xi took before it read the walk's pieces is its oracle:
+    the largest inverted simplex of the walk's NOPolygon at the generic y
+    and at each special direction.  Where they agree, xi and a positive
+    moving Seshadri constant equal it; where they differ, xi refuses the
+    model data.  On random big classes and on them times SCALE, at the
+    generic point and at points of E1 and of L12 where the model has
+    them."""
+    model = sp.builtin(base)
+    rng = seeded_rng(f"xi-walk-{base}")
+    classes = [random_big(model, rng) for _ in range(3)]
+    points = [GENERIC_POINT] + [BlowupSpec(mults={n: 1})
+                                for n in ("E1", "L12") if model.has_curve(n)]
+    for d in classes + [tuple(x * SCALE for x in d) for d in classes]:
+        for x in points:
+            b = _blown_up(model, d, x)
+            if b.exc in b.pair.N_coeffs:
+                with pytest.raises(PointInNegLocus):
+                    sp.xi(model, d, x)
+                continue
+            walk = b.walk()
+            values = [okounkov.largest_inverted_simplex(
+                walk.polygon(_flag_point(b.model, b.exc, y)))
+                for y in [InfFlagSpec()] + [
+                    InfFlagSpec(on=n)
+                    for n in exceptional_directions(b.model, b.exc)]]
+            if any(v != values[0] for v in values):
+                with pytest.raises(ModelInconsistency,
+                                   match="xi depends on the direction"):
+                    sp.xi(model, d, x)
+                continue
+            assert sp.xi(model, d, x) == values[0], (base, d, x)
+            moving = sp.moving_seshadri(model, d, x)
+            if moving.status is sp.SeshadriStatus.POSITIVE:
+                assert moving.value == values[0], (base, d, x)
+
+
+@st.composite
+def quadratics(draw):
+    """(c2, c1, c0, lower): an integer quadratic (or linear or constant
+    polynomial) with a drawn content, over a drawn denominator, and a
+    rational lower bound, at times one of its rational roots.  Its
+    discriminant is a square (rational roots), drawn freely, or a square
+    above 1 times a non-square."""
+    k = st.integers(-30, 30)
+    kind = draw(st.sampled_from(["square", "free", "non-squarefree",
+                                 "linear"]))
+    lower = draw(st.one_of(st.integers(-40, 40), st.fractions(
+        min_value=-40, max_value=40, max_denominator=6)))
+    if kind == "square":  # (a*t - b)(c*t - e)
+        a, b, c, e = (draw(k) for _ in range(4))
+        cs = (a * c, -(a * e + b * c), b * e)
+        roots = [Fraction(b, a)] if a else []
+        roots += [Fraction(e, c)] if c else []
+        if roots and draw(st.booleans()):
+            lower = draw(st.sampled_from(roots))
+    elif kind == "non-squarefree":  # a*((t - r)^2 - s^2*m)
+        a = draw(k.filter(bool))
+        r, s = draw(k), draw(st.integers(2, 12))
+        m = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 15]))
+        cs = (a, -2 * a * r, a * (r * r - s * s * m))
+    elif kind == "linear":
+        cs = (0, draw(k), draw(k))
+    else:
+        cs = (draw(k), draw(k), draw(k))
+    g, q = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return (*(Fraction(g * c, q) for c in cs), lower)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(quadratics())
+def test_integer_quadratic_root_equals_the_fraction_route(args):
+    try:
+        want = fraction_quadratic_root(*args)
+    except NoRealRoot:
+        with pytest.raises(NoRealRoot):
+            scalars.positive_quadratic_root(*args)
+        return
+    got = scalars.positive_quadratic_root(*args)
+    # a Quad equals only a Quad of the same normal form (a, b, d)
+    assert type(got) is type(want) and got == want, args
 
 
 @st.composite

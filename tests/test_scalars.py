@@ -268,6 +268,15 @@ def test_positive_quadratic_root_examples():
         sc.positive_quadratic_root(1, -4, 4, 3)
 
 
+def test_quadratic_root_takes_out_the_content():
+    # k is a 41-digit prime: the discriminant of k*(2 - t^2) is 8k^2, and
+    # factoring it would take the trial division to its limit
+    k = 10**40 + 121
+    with alarm(2.0, "root of a multiple of 2 - t^2"):
+        assert sc.positive_quadratic_root(-k, 0, 2 * k) == quad(0, 1, 2)
+        assert sc.positive_quadratic_root(k, 0, -2 * k, -2) == quad(0, -1, 2)
+
+
 def test_primitive():
     assert sc.primitive([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
     assert sc.primitive([4, -6]) == (2, -3)

@@ -175,6 +175,25 @@ def test_ample_perturbation_non_big_nef_raises_model_inconsistency():
         ample_perturbation(ex, (1, 0, 1))
 
 
+@pytest.mark.parametrize("name, keep, d, message", [
+    ("bl2p2", ("E1", "E2", "L"), (1, -1, 0),
+     "perturbation needs a big class"),
+    ("bl1p2", ("E",), (1, -1),
+     "nef class with empty null locus but zero square"),
+])
+def test_ample_perturbation_refuses_a_nef_class_of_square_zero(
+        name, keep, d, message):
+    """H - E1 is nef with square 0.  With L12 not listed, its one null
+    curve E2 has a negative definite Gram matrix, so only the square
+    refuses it.  On bl1p2 listing only E, H - E pairs positively with
+    every listed curve, so its null locus is empty."""
+    m = sp.builtin(name)
+    cut = m._replace(curves=tuple(c for c in m.curves if c.name in keep),
+                     completeness_declared=False)
+    with pytest.raises(NotBigNef, match=message):
+        ample_perturbation(cut, d)
+
+
 def test_ample_perturbation_rejects_non_nef():
     b1 = sp.builtin("bl1p2")
     with pytest.raises(NotBigNef):

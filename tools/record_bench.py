@@ -12,16 +12,16 @@ CPU count, Python version and commit (and whether the measured program
 has changes not yet committed).  A run that fails, prints no result
 or times out is recorded as such, never dropped.  Standard library only.
 
-The header also records, as the runs begin, the value of
-PYTHONDONTWRITEBYTECODE and whether src/surfpos/__pycache__ holds bytecode
-current for every source of the package.  Without it each CLI process
-compiles what it imports, which shows in ``cli-cold`` and ``setup_s``.
+The runs are recorded without bytecode, so that every file compares
+with every other: each CLI process compiles what it imports, which shows
+in ``cli-cold`` and ``setup_s``.  The runs get PYTHONDONTWRITEBYTECODE=1,
+and the script exits 2 before any run when src/surfpos holds a .pyc for
+this interpreter (remove src/surfpos/__pycache__ first).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -45,29 +45,10 @@ def git(*args: str) -> str | None:
     return done.stdout.strip()
 
 
-def bytecode_current(package: Path) -> bool:
-    """True iff every module of the package has a cached .pyc for this
-    interpreter whose header matches its source: size and mtime, or the
-    source hash for a hash-based .pyc."""
-    for src in package.glob("*.py"):
-        pyc = Path(importlib.util.cache_from_source(str(src)))
-        try:
-            head = pyc.read_bytes()[:16]
-        except OSError:
-            return False
-        if len(head) < 16 or head[:4] != importlib.util.MAGIC_NUMBER:
-            return False
-        if int.from_bytes(head[4:8], "little") & 1:
-            ok = head[8:16] == importlib.util.source_hash(src.read_bytes())
-        else:
-            st = src.stat()
-            ok = (int.from_bytes(head[8:12], "little")
-                  == int(st.st_mtime) & 0xFFFFFFFF
-                  and int.from_bytes(head[12:16], "little")
-                  == st.st_size & 0xFFFFFFFF)
-        if not ok:
-            return False
-    return True
+def bytecode_files(package: Path) -> list[Path]:
+    """The .pyc files of the package's modules for this interpreter."""
+    tag = sys.implementation.cache_tag
+    return sorted((package / "__pycache__").glob(f"*.{tag}*.pyc"))
 
 
 def run_one(workload: str, seconds: float, trace: int) -> dict:
@@ -77,6 +58,7 @@ def run_one(workload: str, seconds: float, trace: int) -> dict:
     rec = {"workload": workload, "trace": trace, "argv": argv[1:]}
     try:
         done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
+                              env=os.environ | {"PYTHONDONTWRITEBYTECODE": "1"},
                               timeout=seconds * TIMEOUT_FACTOR
                               + TIMEOUT_EXTRA_S)
     except subprocess.TimeoutExpired as e:
@@ -98,10 +80,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("n", type=int, help="number in the file name")
     args = ap.parse_args(argv)
+    cached = bytecode_files(ROOT / "src" / "surfpos")
+    if cached:
+        sys.stderr.write(f"src/surfpos holds bytecode ({cached[0].name} and "
+                         f"{len(cached) - 1} more); remove "
+                         "src/surfpos/__pycache__ and record again\n")
+        return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    dont_write = os.environ.get("PYTHONDONTWRITEBYTECODE")
-    current = bytecode_current(ROOT / "src" / "surfpos")
     runs = []
     for trace in (0, 1):
         for w in bench["workloads"]:
@@ -117,8 +103,7 @@ def main(argv=None) -> int:
            "uncommitted_changes": None if changed is None else bool(changed),
            "cpu_count": os.cpu_count(),
            "python": platform.python_version(),
-           "PYTHONDONTWRITEBYTECODE": dont_write,
-           "bytecode_current": current, "seed": SEED,
+           "PYTHONDONTWRITEBYTECODE": "1", "seed": SEED,
            "seconds": seconds, "runs": runs}
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
