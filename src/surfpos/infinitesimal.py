@@ -101,13 +101,11 @@ def _pullback(d: Sequence) -> DivisorClass:
 def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
     rho = model.rank
     listed = {n: int(m) for n, m in spec.mults.items() if m > 0}
-    for n1 in listed:
-        for n2 in listed:
-            if n1 < n2:
-                if model.meet(n1, n2) < listed[n1] * listed[n2]:
-                    raise InconsistentMultiplicities(
-                        f"{n1} and {n2} cannot both have these "
-                        f"multiplicities at one point")
+    for n1, n2 in itertools.permutations(listed, 2):
+        if n1 < n2 and model.meet(n1, n2) < listed[n1] * listed[n2]:
+            raise InconsistentMultiplicities(
+                f"{n1} and {n2} cannot both have these "
+                f"multiplicities at one point")
     for n, m in listed.items():
         check_multiplicity(model, n, m)
     taken = set(model.basis_labels) | {c.name for c in model.curves}
@@ -120,9 +118,8 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
     curves: list[CurveRecord] = []
     for c in model.curves:
         m = listed.get(c.name, 0)
-        cls = tuple(c.cls) + (-m,)
         curves.append(CurveRecord(
-            name=spec.renames.get(c.name, c.name), cls=cls,
+            name=spec.renames.get(c.name, c.name), cls=tuple(c.cls) + (-m,),
             self_int=c.self_int - m * m, is_rational=c.is_rational))
     curves.append(CurveRecord(name=exc, cls=(0,) * rho + (1,),
                               self_int=-1, is_rational=True))
@@ -170,9 +167,8 @@ def _build_blow_up(model: SurfaceModel, spec: BlowupSpec):
                     present.add(cls)
             ample = scalars.vector((3,) + (-1,) * (r + 1))
             ample_is_ample = True
-    canonical = None
-    if model.canonical is not None:
-        canonical = tuple(model.canonical) + (Fraction(1),)
+    canonical = (None if model.canonical is None
+                 else tuple(model.canonical) + (Fraction(1),))
     complete = model.completeness_declared and (spec.generic
                                                 or spec.extra_complete)
     if del_pezzo and not is_dp and spec.generic:
@@ -314,10 +310,9 @@ def xi(model: SurfaceModel, d: Sequence,
 
 def _xi_of_walk(walk: okounkov.Walk, directions: Sequence[str]
                 ) -> ExactScalar:
-    """xi off the negative locus, read off the pieces of the walk on the
-    blow-up, with no polygon: its value at a generic y, through which no
-    curve passes, re-verified at every special direction, the
-    :func:`exceptional_directions` of E, each through E once."""
+    """xi off the negative locus, read off the walk on the blow-up with no
+    polygon: its value at a generic y, re-verified at every special
+    direction, the :func:`exceptional_directions` of E."""
     value = okounkov._inverted_simplex(walk.nu, walk.mu, walk._bounds(()))
     for name in directions:
         if okounkov._inverted_simplex(walk.nu, walk.mu,

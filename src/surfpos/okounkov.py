@@ -9,19 +9,16 @@ Between walls the support of N_t is constant and its coefficients are
 affine in t.  Walls occur where P_t stops pairing positively with a new
 curve; each is crossed by the decomposition fixpoint run on D - sC just
 past it (:func:`surfpos.zariski.chamber`).  The walk ends where (P_t)^2
-vanishes, the only breakpoint that may be a quadratic irrational.
-
-The walk stays on the integers of its chambers: each piece keeps the
-coefficients of N_t and P_t . C over its chamber's denominator.  The next
-wall is the least of the candidate walls by cross-multiplication, whether
-the quadratic vanishes before it is decided on integers, and its root is
-taken only in the chamber where the walk ends: a Fraction is built per
-wall and one value for mu.  The walk depends on D and C only and x enters
-only through alpha, so one walk serves every point of C; the Fractions of
-alpha and beta are built in a point's polygon.  The polygon is convex, so
-a simplex lies inside it exactly when its vertices do: lambda and xi are
-read off the boundary at those vertices, xi off the walk's pieces with no
-polygon.  A :class:`NOPolygon` computes its vertex cycle when first read.
+vanishes, the only breakpoint that may be a quadratic irrational.  Each
+piece keeps its chamber's integers, N_t and P_t . C over one denominator:
+walls are compared by cross-multiplying, the root is taken only in the
+last chamber, and Fractions are built for the walls, for mu and in a
+point's polygon.  The walk depends on D and C only and x enters only
+through alpha, so one walk serves every point of C.  The polygon is
+convex, so a simplex lies inside it exactly when its vertices do: lambda
+and xi are read off the boundary at those vertices, xi off the walk's
+pieces with no polygon.  A :class:`NOPolygon` computes its vertex cycle
+when first read.
 """
 
 from __future__ import annotations
@@ -85,10 +82,7 @@ class NOPolygon(_PolygonFields):
     def piece_at(self, t) -> PolygonPiece:
         if t < self.nu or t > self.mu:
             raise OutOfRange(f"t={t} outside [{self.nu}, {self.mu}]")
-        for p in self.pieces:
-            if t <= p.t_hi:
-                return p
-        return self.pieces[-1]
+        return next((p for p in self.pieces if t <= p.t_hi), self.pieces[-1])
 
     def alpha(self, t) -> ExactScalar:
         return _ev(self.piece_at(t).alpha, t)
@@ -119,9 +113,8 @@ class Walk(NamedTuple):
     pieces: tuple[WalkPiece, ...]
 
     def _bounds(self, through: Sequence[tuple[str, int]]) -> list[tuple]:
-        """alpha and beta on each piece, as in :func:`_inverted_simplex`,
-        at a point of C: alpha weighs N_t by the local multiplicities of
-        the curves ``through`` the point."""
+        """alpha and beta on each piece, as in :func:`_inverted_simplex`:
+        alpha weighs N_t by the multiplicities ``through`` a point of C."""
         out = []
         for t_lo, t_hi, coeffs, (b0, b1), den in self.pieces:
             a0 = sum(coeffs[n][0] * m for n, m in through if n in coeffs)
@@ -130,8 +123,7 @@ class Walk(NamedTuple):
         return out
 
     def polygon(self, point: PointSpec) -> NOPolygon:
-        """The polygon for the flag (C, point), whose Fractions are built
-        here from the walk's integers."""
+        """The polygon for the flag (C, point), its Fractions built here."""
         through = [(n, m) for n in point.local_mults
                    if (m := point.mult(n)) > 0]
         pieces = tuple(
@@ -163,9 +155,8 @@ def _walk_from(model: SurfaceModel, d: DivisorClass, flag_curve: str,
     pieces: list[WalkPiece] = []
     t0 = nu
     for _ in range(len(model.curves) * (model.rank + 2) + 4):
-        # the chamber just right of t0, grown by the fixpoint from the
-        # support; the flag curve must not enter, even with coefficient
-        # zero: beta reads P_t . C
+        # the chamber just right of t0, grown from the support; the flag
+        # curve must not enter, even with coefficient 0: beta reads P_t . C
         chamber = zariski.chamber(model, d, slope, t0, support)
         if flag_curve not in chamber.pairings:
             raise FlagCurveReenters(
@@ -223,9 +214,8 @@ def _root_before(q: tuple[int, int, int], t0: Fraction,
 def _next_wall(chamber: zariski.Chamber, t0: Fraction) -> Optional[Fraction]:
     """The first wall past t0: where P_t . C drops to 0 for a curve outside
     the support.  A coefficient crossing 0 (inconsistent data) is a wall
-    too, so that the fixpoint past it diagnoses it.  Each is some
-    (n0 + t*n1)/den that falls, is positive at t0 and vanishes at
-    n0/(-n1); the least is found by cross-multiplying integers."""
+    too, so that the fixpoint past it diagnoses it.  Each wall is the zero
+    n0/(-n1) of some (n0 + t*n1)/den that falls and is positive at t0."""
     tn, td = t0.numerator, t0.denominator
     wall = None
     for n0, n1 in itertools.chain(chamber.pairings.values(),
@@ -257,10 +247,7 @@ def _vertices(nu, mu, pieces: Sequence[PolygonPiece]) -> tuple[Point, ...]:
 
     cycle = (chain([p.alpha for p in pieces])
              + chain([p.beta for p in pieces])[::-1])
-    out: list[Point] = []
-    for pt in cycle:
-        if not out or out[-1] != pt:
-            out.append(pt)
+    out = [pt for i, pt in enumerate(cycle) if i == 0 or cycle[i - 1] != pt]
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return tuple(out)
@@ -276,13 +263,9 @@ def mu_sup(model: SurfaceModel, d: Sequence, flag_curve: str) -> ExactScalar:
 
 
 def polygon_area(poly: NOPolygon) -> ExactScalar:
-    total = 0
     v = poly.vertices
-    for i in range(len(v)):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % len(v)]
-        total = total + (x1 * y2 - x2 * y1)
-    return total / 2
+    return sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                in zip(v, v[1:] + v[:1])), 0) / 2
 
 
 def vertical_slice(poly: NOPolygon, t) -> tuple[ExactScalar, ExactScalar]:
@@ -291,16 +274,12 @@ def vertical_slice(poly: NOPolygon, t) -> tuple[ExactScalar, ExactScalar]:
 
 def polygon_contains(poly: NOPolygon, pt: Point) -> bool:
     t, y = pt
-    if t < poly.nu or t > poly.mu:
-        return False
-    return poly.alpha(t) <= y <= poly.beta(t)
+    return poly.nu <= t <= poly.mu and poly.alpha(t) <= y <= poly.beta(t)
 
 
 def polygon_interior_contains(poly: NOPolygon, pt: Point) -> bool:
     t, y = pt
-    if not (poly.nu < t < poly.mu):
-        return False
-    return poly.alpha(t) < y < poly.beta(t)
+    return poly.nu < t < poly.mu and poly.alpha(t) < y < poly.beta(t)
 
 
 def _polygon_bounds(poly: NOPolygon) -> list[tuple]:
@@ -349,11 +328,9 @@ def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
 def _inverted_simplex(nu: Fraction, mu: ExactScalar, bounds: Sequence[tuple]
                       ) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon on
-    [nu, mu] whose boundary pieces are ``bounds``: each is
-    (t_lo, t_hi, a0, a1, b0, b1, den) with alpha = (a0 + t*a1)/den and
-    beta = (b0 + t*b1)/den on [t_lo, t_hi], for den > 0.  A walk gives
-    them on its integers, a polygon on its Fractions over 1; every sign
-    is read on the numerators."""
+    [nu, mu] with boundary pieces (t_lo, t_hi, a0, a1, b0, b1, den) in
+    ``bounds``: alpha = (a0 + t*a1)/den and beta = (b0 + t*b1)/den, den > 0,
+    on integers from a walk or Fractions over 1 from a polygon."""
     if nu != 0:
         return Fraction(0)
     t_alpha = _alpha_zero_prefix(mu, bounds)
@@ -426,12 +403,8 @@ def truncate_left(poly: NOPolygon, t0: Fraction) -> tuple[Point, ...]:
         return poly.vertices
     if t0 > poly.mu:
         return ()
-    pieces = []
-    for p in poly.pieces:
-        if p.t_hi <= t0:
-            continue
-        lo = max(p.t_lo, t0)
-        pieces.append(PolygonPiece(lo, p.t_hi, p.alpha, p.beta, p.support))
+    pieces = [p._replace(t_lo=max(p.t_lo, t0)) for p in poly.pieces
+              if p.t_hi > t0]
     return _vertices(t0, poly.mu, pieces)
 
 

@@ -6,13 +6,11 @@ decisions are made in exact rational arithmetic; floats never enter any
 decision path (they only appear as display approximations).
 
 The one root routine, :func:`positive_quadratic_root`, decides on integers
-and builds one Fraction or one Quad for the root it returns.  Matrices
-and vectors are plain tuples of Fractions.  The surfaces handled by this
-package have Picard rank at most nine: one fraction-free Gauss-Jordan row
-reduction on integer-scaled rows serves solving, rank, inverses and, by
-Sylvester's criterion on its pivots, negative definiteness; a negative
-definite solve also hands back its integer numerators over one
-denominator.
+and builds one value.  Matrices and vectors are tuples of Fractions.  The
+surfaces handled by this package have Picard rank at most nine: one
+fraction-free Gauss-Jordan row reduction on integer-scaled rows serves
+solving (also as integers over one denominator), rank, inverses and, by
+Sylvester's criterion on its pivots, negative definiteness.
 """
 
 from __future__ import annotations
@@ -58,10 +56,8 @@ def _square_free(n: int) -> tuple[int, int]:
     12*(10^9 + 7)^2 takes 0.09 s on a 2-core x86 box.  Trial divisors from
     10^7 on would take about 1 s for a 70-bit n there, so it raises
     OutOfRange instead: n then has at least three prime factors from 10^7
-    on.  The chamber walk calls this at most once per walk, for an
-    irrational volume root in its last chamber: :func:`quad` answers a
-    perfect square without it, and the walk compares that root with its
-    walls on rationals.
+    on.  The chamber walk calls this at most once, for an irrational root
+    in its last chamber: :func:`quad` answers a perfect square without it.
     """
     s = m = 1
     for p in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
@@ -224,11 +220,9 @@ def rational_sqrt(x) -> ExactScalar:
 def positive_quadratic_root(c2, c1, c0, lower=0) -> ExactScalar:
     """Smallest root of c2*t^2 + c1*t + c0 = 0 that is >= ``lower``.
 
-    Decided on integers: the coefficients and ``lower`` are scaled once,
-    the content and the sign of c2 taken out, and a root is placed against
-    ``lower`` by comparing squares.  Returns a Fraction when the
-    discriminant is a perfect square, else the Quad of :func:`quad`.
-    Degenerates gracefully to the linear case when c2 = 0.
+    Decided on integers, placing each root against ``lower`` by comparing
+    squares.  Returns a Fraction when the discriminant is a perfect
+    square, else the Quad of :func:`quad`; linear when c2 = 0.
     """
     if not all(isinstance(x, (int, Fraction)) for x in (c2, c1, c0, lower)):
         raise TypeError("expected exact rationals")
@@ -350,20 +344,16 @@ def solve_negative_definite(g: Sequence[Sequence], *rhs: Sequence
     if tuple(map(tuple, g)) != tuple(zip(*g)):
         raise NotSymmetric("the form is not symmetric")
     sol = _negative_definite_solution(a)
-    if sol is None:
-        return None
-    nums, den = sol
-    return tuple(tuple(Fraction(x, den) for x in col) for col in zip(*nums))
+    return None if sol is None else tuple(
+        tuple(Fraction(x, sol[1]) for x in col) for col in zip(*sol[0]))
 
 
 def _negative_definite_solution(a: list[list[int]]
                                 ) -> Optional[tuple[list[list[int]], int]]:
-    """For the integer rows of [g | b_1 ... b_m], g symmetric: integers
-    x[i][k] and one den > 0 with g * x[.][k] = den * b_k if g is negative
-    definite, else None.  By Sylvester's criterion it is iff the pivots
-    alternate -, +, -, ... with no row swap (a zero leading minor).  Then
-    every diagonal entry ends as the last pivot, det g, over which the
-    columns past g are the numerators."""
+    """Integers x[i][k] and den > 0 with g * x[.][k] = den * b_k for the
+    rows of [g | b_1 ... b_m], if the symmetric g is negative definite,
+    else None: by Sylvester's criterion, iff the pivots alternate -, +, -,
+    ... with no row swap.  Each diagonal entry then ends as det g."""
     n = len(a)
     pivots, swaps = _row_reduce(a, n)
     if swaps or len(pivots) < n or any(

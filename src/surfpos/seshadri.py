@@ -136,11 +136,8 @@ def free_multiple(nef: PolyCone, b: Sequence, model: SurfaceModel) -> int:
     bb = model.divisor(b)
     if any(x.denominator != 1 for x in bb):
         raise NonIntegralInput("bundle class must be integral")
-    m = 0
-    for u in nef.facet_normals:
-        val = pairing(model, bb, vector(u))
-        m = max(m, math.ceil(val))
-    return m
+    return max([0, *(math.ceil(pairing(model, bb, vector(u)))
+                     for u in nef.facet_normals)])
 
 
 def default_free_bundle(model: SurfaceModel, a: Sequence):

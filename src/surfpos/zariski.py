@@ -9,14 +9,12 @@ d + s*slope with signs read just right of s = t, the same fixpoint gives
 the chamber of a Newton-Okounkov walk past a wall (:func:`chamber`).
 
 The fixpoint runs once, on integers, over the parts of d + s*slope: the
-class, then the slope when one is given.  P = (p0 + s*p1)/den is kept as
-integer vectors over one common denominator, every P.C is an integer dot
-with the model's curve table, and every sign, of a pairing or of a
-coefficient, is decided on integers scaled by den.  The support's integer
-Gram matrix, read off the same table, is checked negative definite and
-solved for every part in one fraction-free elimination, which hands back
-integer numerators over its determinant.  A chamber holds no Fraction:
-they are built only for what a caller of the chamber reads.
+class, then the slope when one is given.  P = (p0 + s*p1)/den and N are
+kept as integers over one common denominator, every P.C is an integer dot
+with the model's curve table, and every sign is decided on integers.  The
+support's integer Gram matrix, read off the same table, is checked
+negative definite and solved for every part in one fraction-free
+elimination.  Fractions are built only for what a caller reads.
 """
 
 from __future__ import annotations
@@ -78,13 +76,12 @@ def is_pseudo_effective(model: SurfaceModel, d: Sequence) -> bool:
 class Chamber(NamedTuple):
     """Zariski data of d + s*slope just right of s = t, on integers.
 
-    Each affine quantity is kept as its integer parts over the one
-    denominator ``den``: the value at s = 0, then the slope when one is
-    given.  P = (p[0] + s*p[1])/den for integer vectors p[k], and
-    ``pairings`` holds, for every curve outside the candidate support, the
-    integers n[k] with P.C = (n[0] + s*n[1])/den.  N is the sum of
-    (c[0] + s*c[1])/den * C over ``support`` (in curve order) with
-    coeffs[C] = c.  With no slope every tuple has the one part at s = 0."""
+    Each affine quantity is kept as its integer parts over ``den``: the
+    value at s = 0, then the slope when one is given.  P is p[0] + s*p[1],
+    P.C is n[0] + s*n[1] for n = pairings[C] and every curve C outside the
+    candidate support, and N is the sum of (c[0] + s*c[1]) * C for
+    c = coeffs[C] over ``support`` (in curve order), all over den.  With
+    no slope every tuple has the one part at s = 0."""
 
     support: tuple[str, ...]
     coeffs: dict[str, tuple[int, ...]]
@@ -202,8 +199,7 @@ def is_ample(model: SurfaceModel, d: Sequence) -> bool:
 
 def volume(model: SurfaceModel, d: Sequence) -> Fraction:
     """vol(D) = (P_D)^2 for pseudo-effective D."""
-    pair = zariski_decompose(model, d)
-    return self_intersection(model, pair.P)
+    return self_intersection(model, zariski_decompose(model, d).P)
 
 
 def big_decomposition(model: SurfaceModel,
@@ -248,10 +244,9 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
     a = sol[0]
     if any(x < 0 for x in a):
         raise ModelInconsistency("inverse Gram has a positive entry")
-    direction = vector([0] * model.rank)
-    for name, coef in zip(null, a):
-        direction = scalars.vec_add(direction,
-                                    scalars.vec_scale(coef, model.curve_class(name)))
+    # sum a_i * C_i over the null curves, coordinate by coordinate
+    direction = tuple(sum((c * x for c, x in zip(a, col)), Fraction(0))
+                      for col in zip(*map(model.curve_class, null)))
     s = Fraction(1)
     for _ in range(64):
         candidate = scalars.vec_sub(p, scalars.vec_scale(s, direction))

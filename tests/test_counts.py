@@ -5,12 +5,14 @@ wide its tableau is.
 These pin that a walk decides bigness once, that a blown-up query decides
 a nef class on a complete base with no LP and no fixpoint, that xi and
 moving Seshadri constants walk once, from the pulled-back decomposition,
-and build no polygon and no vertices, that a moving Seshadri constant at a point of Neg(D)
-or Null(D) runs no walk, that a second query at a point builds no blow-up,
-that a polygon builds its vertices only when they are read, that pairings
-with the curve list read the model's curve table, that the blown-up
-queries, the Seshadri constant and the ample perturbation decide their
-signs on that integer table, with no Fraction per curve, and that the LP's pivots do not follow the order of the curves."""
+and build no polygon and no vertices, that a moving Seshadri constant at
+a point of Neg(D) or Null(D) runs no walk, that a second query at a point
+builds no blow-up, that a polygon builds its vertices only when they are
+read, that pairings with the curve list read the model's curve table,
+that the blown-up queries, the Seshadri constant and the ample
+perturbation decide their signs on that integer table, with no Fraction
+per curve, and that the LP's pivots do not follow the order of the
+curves."""
 
 from __future__ import annotations
 
