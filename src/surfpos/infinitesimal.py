@@ -4,8 +4,10 @@ A blow-up of a model at a combinatorially specified point extends the
 lattice by an exceptional class E with E^2 = -1 orthogonal to pullbacks;
 curve records become strict transforms class - mult * E.  Infinitesimal
 polygons are ordinary polygons on the blow-up with respect to flags (E, y),
-and the local positivity invariants (the asymptotic multiplicity mu', the
-largest inverted simplex xi, moving Seshadri constants) are read off them.
+and the asymptotic multiplicity mu' is read off their walk.  Off the
+negative locus the largest inverted simplex xi and the moving Seshadri
+constant are the nef threshold of pi*P - tE, P = P(D), read off the
+curve table with no walk.
 Each point of a model instance is blown up once.  A query at x decides
 once whether D is big, on the base when it lists every curve of its
 effective cone (P and N pull back, and the blow-up runs no LP or
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -43,7 +46,7 @@ from .lattice import (
     validate_model,
 )
 from .okounkov import NOPolygon
-from .scalars import ExactScalar, scaled
+from .scalars import ExactScalar, rational_sqrt, scaled
 
 
 def point_on_exceptional_spec(model: SurfaceModel) -> BlowupSpec:
@@ -231,6 +234,41 @@ class _BlownUp(NamedTuple):
         return okounkov._walk_from(self.model, self.up, self.exc,
                                    self.pair.N_coeffs)
 
+    def xi(self) -> ExactScalar:
+        """xi at x off the negative locus (E not in N), with no walk."""
+        num, den = scaled(self.pair.P)
+        return _nef_threshold(self.model, num, den, self.exc,
+                              self.pair.N_coeffs)
+
+
+def _nef_threshold(bm: SurfaceModel, num: Sequence[int], den: int,
+                   exc: str, negative=()) -> ExactScalar:
+    """Nef threshold of P - tE on the blow-up bm, P = num/den nef with
+    P.E = 0: the least of sqrt(P^2) and (P.C)/(C.E) over the listed C != E
+    with C.E > 0, on the integer curve table.  For P = P(pi*D) off Neg(D)
+    it is xi: on the walk's first chamber N_t is N(pi*D) = ``negative``,
+    which misses E, so alpha = 0 and beta(t) = t, and past it beta(t) < t.
+    A curve of ``negative`` meeting E makes xi depend on the direction."""
+    # sqrt(P^2) = c*sqrt(P'^2) for P = c*P' with P' integral and primitive,
+    # as in the chamber walk: the root of kP factors no k^2
+    g = math.gcd(*num) or 1
+    prim = [v // g for v in num]
+    best: ExactScalar = (Fraction(g, den)
+                         * rational_sqrt(int_pairing(bm, prim, prim)))
+    # the least (P.C)/m, m = C.E > 0, compared on integers
+    ups, least = bm.curve_dots(num), None
+    for n, m in bm.curve_dots(bm.curve(exc).cls).items():
+        if n == exc or m <= 0:
+            continue
+        if n in negative:
+            raise ModelInconsistency(
+                f"xi depends on the direction {n}; model data is wrong")
+        if least is None or ups[n] * least[1] < least[0] * m:
+            least = ups[n], m
+    if least is not None:
+        best = min(best, Fraction(least[0], least[1] * den))
+    return best
+
 
 def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
               y: Optional[InfFlagSpec] = None,
@@ -299,42 +337,26 @@ def exceptional_directions(bm: SurfaceModel, exc: str) -> list[str]:
 def xi(model: SurfaceModel, d: Sequence,
        x: BlowupSpec = GENERIC_POINT) -> ExactScalar:
     """Largest xi with the inverted simplex of size xi inside every
-    infinitesimal polygon at x; independent of the point y on E."""
+    infinitesimal polygon at x; independent of the point y on E.  It is
+    the nef threshold of pi*P - tE, with no walk."""
     b = _blown_up(model, d, x, what="xi")
-    directions = exceptional_directions(b.model, b.exc)
     if b.exc in b.pair.N_coeffs:
-        through = [n for n in directions if n in b.pair.N_coeffs]
+        through = [n for n in exceptional_directions(b.model, b.exc)
+                   if n in b.pair.N_coeffs]
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return _xi_of_walk(b.walk(), directions)
-
-
-def _xi_of_walk(walk: okounkov.Walk, directions: Sequence[str]
-                ) -> ExactScalar:
-    """xi off the negative locus, read off the walk on the blow-up with no
-    polygon: its value at a generic y, re-verified at every special
-    direction, the :func:`exceptional_directions` of E."""
-    value = okounkov._inverted_simplex(walk.nu, walk.mu, walk._bounds(()))
-    for name in directions:
-        if okounkov._inverted_simplex(walk.nu, walk.mu,
-                                      walk._bounds(((name, 1),))) != value:
-            raise ModelInconsistency(
-                f"xi depends on the direction {name}; model data is wrong")
-    return value
+    return b.xi()
 
 
 def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
                     y: InfFlagSpec
                     ) -> tuple[NOPolygon, Optional[ExactScalar]]:
-    """The infinitesimal polygon at y and xi, read off one walk, with the
+    """The infinitesimal polygon at y, off one walk, and xi, with the
     errors of :func:`infinitesimal_polygon`.  xi is None on the negative
     locus and when the model data makes it depend on the direction."""
     b = _blown_up(model, d, x, y)
-    walk = b.walk()
-    poly = walk.polygon(b.point)
+    poly = b.walk().polygon(b.point)
     try:
-        in_neg = b.exc in b.pair.N_coeffs
-        return poly, None if in_neg else _xi_of_walk(
-            walk, exceptional_directions(b.model, b.exc))
+        return poly, None if b.exc in b.pair.N_coeffs else b.xi()
     except ModelInconsistency:
         return poly, None
 
@@ -353,18 +375,14 @@ class MovingSeshadri(NamedTuple):
 def moving_seshadri(model: SurfaceModel, d: Sequence,
                     x: BlowupSpec = GENERIC_POINT) -> MovingSeshadri:
     """Moving Seshadri constant of a big class at x, as a tagged status:
-    on the negative locus, on the null locus only (value zero), or
-    positive with value xi."""
+    on the negative locus, on the null locus only (value zero: P pairs to
+    0 with a curve meeting E), or positive with value xi."""
     b = _blown_up(model, d, x, what="moving Seshadri constant")
     if b.exc in b.pair.N_coeffs:
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    p_dot = b.model.curve_dots(scaled(b.pair.P)[0])
-    directions = exceptional_directions(b.model, b.exc)
-    if any(p_dot[n] == 0 for n in directions):
-        return MovingSeshadri(SeshadriStatus.IN_NULL_NOT_NEG,
-                              value=Fraction(0))
-    return MovingSeshadri(SeshadriStatus.POSITIVE,
-                          value=_xi_of_walk(b.walk(), directions))
+    value = b.xi()
+    return MovingSeshadri(SeshadriStatus.POSITIVE if value != 0
+                          else SeshadriStatus.IN_NULL_NOT_NEG, value)
 
 
 def generic_infinitesimal_polygon(model: SurfaceModel, d: Sequence,

@@ -16,9 +16,10 @@ last chamber, and Fractions are built for the walls, for mu and in a
 point's polygon.  The walk depends on D and C only and x enters only
 through alpha, so one walk serves every point of C.  The polygon is
 convex, so a simplex lies inside it exactly when its vertices do: lambda
-and xi are read off the boundary at those vertices, xi off the walk's
-pieces with no polygon.  A :class:`NOPolygon` computes its vertex cycle
-when first read.
+and the largest inverted simplex are read off the boundary at those
+vertices.  The xi of an infinitesimal polygon needs no walk: it is the
+end of the walk's first chamber along E (:mod:`surfpos.infinitesimal`).
+A :class:`NOPolygon` computes its vertex cycle when first read.
 """
 
 from __future__ import annotations
@@ -112,26 +113,20 @@ class Walk(NamedTuple):
     flag_curve: str
     pieces: tuple[WalkPiece, ...]
 
-    def _bounds(self, through: Sequence[tuple[str, int]]) -> list[tuple]:
-        """alpha and beta on each piece, as in :func:`_inverted_simplex`:
-        alpha weighs N_t by the multiplicities ``through`` a point of C."""
-        out = []
+    def polygon(self, point: PointSpec) -> NOPolygon:
+        """The polygon for the flag (C, point), its Fractions built here:
+        alpha weighs N_t by the multiplicities of the curves through it."""
+        through = [(n, m) for n in point.local_mults
+                   if (m := point.mult(n)) > 0]
+        pieces = []
         for t_lo, t_hi, coeffs, (b0, b1), den in self.pieces:
             a0 = sum(coeffs[n][0] * m for n, m in through if n in coeffs)
             a1 = sum(coeffs[n][1] * m for n, m in through if n in coeffs)
-            out.append((t_lo, t_hi, a0, a1, a0 + b0, a1 + b1, den))
-        return out
-
-    def polygon(self, point: PointSpec) -> NOPolygon:
-        """The polygon for the flag (C, point), its Fractions built here."""
-        through = [(n, m) for n in point.local_mults
-                   if (m := point.mult(n)) > 0]
-        pieces = tuple(
-            PolygonPiece(t_lo, t_hi, (Fraction(a0, den), Fraction(a1, den)),
-                         (Fraction(b0, den), Fraction(b1, den)), tuple(w[2]))
-            for w, (t_lo, t_hi, a0, a1, b0, b1, den)
-            in zip(self.pieces, self._bounds(through)))
-        return NOPolygon(nu=self.nu, mu=self.mu, pieces=pieces,
+            pieces.append(PolygonPiece(
+                t_lo, t_hi, (Fraction(a0, den), Fraction(a1, den)),
+                (Fraction(a0 + b0, den), Fraction(a1 + b1, den)),
+                tuple(coeffs)))
+        return NOPolygon(nu=self.nu, mu=self.mu, pieces=tuple(pieces),
                          flag_curve=self.flag_curve)
 
 
@@ -282,28 +277,22 @@ def polygon_interior_contains(poly: NOPolygon, pt: Point) -> bool:
     return poly.nu < t < poly.mu and poly.alpha(t) < y < poly.beta(t)
 
 
-def _polygon_bounds(poly: NOPolygon) -> list[tuple]:
-    """The pieces of a polygon as in :func:`_inverted_simplex`."""
-    return [(p.t_lo, p.t_hi, *p.alpha, *p.beta, 1) for p in poly.pieces]
-
-
-def _alpha_zero_prefix(mu: ExactScalar, bounds: Sequence[tuple]
+def _alpha_zero_prefix(mu: ExactScalar, pieces: Sequence[PolygonPiece]
                        ) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
-    for t_lo, _, a0, a1, *_ in bounds:
-        # the sign of alpha(t_lo), times den and the denominator of t_lo
-        v = a0 * t_lo.denominator + a1 * t_lo.numerator
+    for p in pieces:
+        v, a1 = _ev(p.alpha, p.t_lo), p.alpha[1]
         if v < 0 or v == 0 and a1 < 0:
             raise ModelInconsistency(
                 "alpha went negative" if v < 0 else "alpha decreasing")
         if v or a1:
-            return t_lo
+            return p.t_lo
     return mu
 
 
 def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
-    return _alpha_zero_prefix(poly.mu, _polygon_bounds(poly))
+    return _alpha_zero_prefix(poly.mu, poly.pieces)
 
 
 def largest_simplex(poly: NOPolygon) -> ExactScalar:
@@ -322,26 +311,25 @@ def largest_simplex(poly: NOPolygon) -> ExactScalar:
 
 def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon."""
-    return _inverted_simplex(poly.nu, poly.mu, _polygon_bounds(poly))
+    return _inverted_simplex(poly.nu, poly.mu, poly.pieces)
 
 
-def _inverted_simplex(nu: Fraction, mu: ExactScalar, bounds: Sequence[tuple]
-                      ) -> ExactScalar:
+def _inverted_simplex(nu: Fraction, mu: ExactScalar,
+                      pieces: Sequence[PolygonPiece]) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon on
-    [nu, mu] with boundary pieces (t_lo, t_hi, a0, a1, b0, b1, den) in
-    ``bounds``: alpha = (a0 + t*a1)/den and beta = (b0 + t*b1)/den, den > 0,
-    on integers from a walk or Fractions over 1 from a polygon."""
+    [nu, mu] with boundary pieces ``pieces``."""
     if nu != 0:
         return Fraction(0)
-    t_alpha = _alpha_zero_prefix(mu, bounds)
+    t_alpha = _alpha_zero_prefix(mu, pieces)
     t_beta: ExactScalar = mu
-    for t_lo, t_hi, _, _, b0, b1, den in bounds:
-        # beta(t) - t = (b0 + t*(b1 - den))/den: negative at t_lo, or
-        # falling to 0 at b0/(den - b1) inside the piece
-        if b0 * t_lo.denominator + (b1 - den) * t_lo.numerator < 0:
-            t_beta = t_lo
+    for p in pieces:
+        # beta(t) - t = b0 + t*(b1 - 1): negative at t_lo, or falling to 0
+        # at b0/(1 - b1) inside the piece
+        b0, b1 = p.beta
+        if b0 + (b1 - 1) * p.t_lo < 0:
+            t_beta = p.t_lo
             break
-        if b1 < den and (root := Fraction(b0, den - b1)) < t_hi:
+        if b1 < 1 and (root := b0 / (1 - b1)) < p.t_hi:
             t_beta = root
             break
     return t_alpha if t_alpha <= t_beta else t_beta

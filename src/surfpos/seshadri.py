@@ -18,10 +18,9 @@ from .lattice import (
     PointSpec,
     PolyCone,
     SurfaceModel,
-    int_pairing,
     pairing,
 )
-from .scalars import ExactScalar, rational_sqrt, scaled, vector
+from .scalars import ExactScalar, scaled, vector
 
 
 def seshadri_direct(model: SurfaceModel, a: Sequence,
@@ -30,7 +29,9 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
 
     The minimum of (A . C) / mult_x(C) over the declared curves through x
     (read off the blow-up records pairing positively with E), capped by
-    sqrt(A^2), where the pulled-back class stops being in the positive cone.
+    sqrt(A^2), where the pulled-back class stops being in the positive
+    cone.  The threshold routine is the one that gives xi and moving
+    Seshadri constants, applied to pi*A, its own positive part.
     """
     from . import infinitesimal, zariski
 
@@ -38,22 +39,8 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     if not zariski.is_nef(model, a):
         raise NotNef("Seshadri constants need a nef class")
     bm, _, exc = infinitesimal.blow_up(model, x)
-    # sqrt(A^2) = c*sqrt(A'^2) for A = c*A' with A' integral and primitive,
-    # as in the chamber walk: the root of kA factors no k^2
     num, den = scaled(a)
-    g = math.gcd(*num) or 1
-    prim = [x // g for x in num]
-    best: ExactScalar = (Fraction(g, den)
-                         * rational_sqrt(int_pairing(model, prim, prim)))
-    # the least (pi*A . C)/m, m = C . E > 0, compared on the integer table
-    ups, least = bm.curve_dots([*num, 0]), None
-    for n, m in bm.curve_dots(bm.curve(exc).cls).items():
-        if n != exc and m > 0 and (least is None
-                                   or ups[n] * least[1] < least[0] * m):
-            least = ups[n], m
-    if least is not None:
-        best = min(best, Fraction(least[0], least[1] * den))
-    return best
+    return infinitesimal._nef_threshold(bm, [*num, 0], den, exc)
 
 
 def largest_simplex_flag(model: SurfaceModel, a: Sequence, flag_curve: str,

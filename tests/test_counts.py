@@ -3,10 +3,11 @@ decomposition fixpoints, chamber walks, blow-ups, plain pairings and
 polygon vertex sets one query runs, how many pivots an LP takes and how
 wide its tableau is.
 These pin that a walk decides bigness once, that a blown-up query decides
-a nef class on a complete base with no LP and no fixpoint, that xi and
-moving Seshadri constants walk once, from the pulled-back decomposition,
-and build no polygon and no vertices, that a moving Seshadri constant at
-a point of Neg(D) or Null(D) runs no walk, that a second query at a point
+a nef class on a complete base with no LP and no fixpoint, that xi,
+moving Seshadri constants and Seshadri constants run no walk and build no
+chamber, polygon or vertices, reading the pulled-back decomposition,
+while the CLI's infinitesimal polygon walks once, that a second query at
+a point
 builds no blow-up, that a polygon builds its vertices only when they are
 read, that pairings with the curve list read the model's curve table,
 that the blown-up queries, the Seshadri constant and the ample
@@ -25,7 +26,7 @@ import pytest
 
 import surfpos as sp
 from surfpos import infinitesimal, lattice, models, okounkov, seshadri, zariski
-from surfpos.cli import enc_scalar, main
+from surfpos.cli import _resolve_blowup_point, enc_scalar, main, parse_divisor
 from surfpos.errors import NotBig, NotPseudoEffective
 from surfpos.infinitesimal import BlowupSpec
 from surfpos.lattice import PointSpec
@@ -252,19 +253,21 @@ def minus_k_plus_2e1(model):
     return model.divisor([k[0], k[1] + 2, *k[2:]])
 
 
-def test_xi_decomposes_once_and_walks_once(counts, walks):
+def test_xi_decomposes_once_and_runs_no_walk(counts, walks):
     """-K is nef, so the base decides it by its pairings: no LP and no
-    fixpoint.  -K + 2E1 takes one of each.  Each walks once."""
+    fixpoint.  -K + 2E1 takes one of each.  Neither walks: xi is the nef
+    threshold of pi*P - tE.  Each walked once when xi was read off the
+    walk."""
     m = sp.builtin("bl3p2")
     assert sp.xi(m, anti_canonical(m)) == 2
     assert counts == {"lp": 0, "fixpoint": 0}
-    assert walks == {"walk": 1, "blowup": 1}
+    assert walks == {"walk": 0, "blowup": 1}
     assert sp.xi(m, minus_k_plus_2e1(m)) == 2
     assert counts == {"lp": 1, "fixpoint": 1}
-    assert walks == {"walk": 2, "blowup": 2}
+    assert walks == {"walk": 0, "blowup": 2}
 
 
-def test_moving_seshadri_decomposes_once_and_walks_once(counts, walks):
+def test_moving_seshadri_decomposes_once_and_runs_no_walk(counts, walks):
     m = sp.builtin("bl6p2")
     for cls, value, work in [
             (anti_canonical, Fraction(3, 2), {"lp": 0, "fixpoint": 0}),
@@ -273,7 +276,39 @@ def test_moving_seshadri_decomposes_once_and_walks_once(counts, walks):
         assert res.status is sp.SeshadriStatus.POSITIVE
         assert res.value == value
         assert counts == work
-    assert walks == {"walk": 2, "blowup": 2}
+    assert walks == {"walk": 0, "blowup": 2}
+
+
+@pytest.mark.parametrize("name, divisor, point", [
+    ("bl3p2", "3H-E1-E2-E3", None),
+    ("bl3p2", "4H-E1-E2-E3", {"mults": {"L12": 1}}),
+    ("bl5p2", "3H-E1-E2-E3-E4-E5", {"mults": {"E1": 1, "L12": 1}}),
+    ("bl1p2", "4H-E", {"mults": {"E": 1}}),
+    # the tangent blow-up at a point of E is this model's default point
+    ("example-interesting-base", "3H-E", None)])
+def test_thresholds_run_no_walk_and_the_cli_polygon_walks_once(
+        walks, name, divisor, point, tmp_path):
+    """seshadri_direct, xi and moving_seshadri read the nef threshold of
+    pi*P - tE off the curve table: no walk, where xi and moving_seshadri
+    walked once.  The CLI infinitesimal command still walks once, for its
+    polygon, and reports the xi of the library."""
+    argv = ["infinitesimal", "--model", f"builtin:{name}",
+            "--divisor", divisor]
+    if point is not None:
+        (tmp_path / "point.json").write_text(json.dumps(point))
+        argv += ["--point", str(tmp_path / "point.json")]
+    m = sp.builtin(name)
+    d = parse_divisor(divisor, m)
+    x = _resolve_blowup_point(point and str(tmp_path / "point.json"), m)
+    eps = seshadri.seshadri_direct(m, d, x)
+    assert sp.xi(m, d, x) == eps
+    assert sp.moving_seshadri(m, d, x).value == eps
+    assert walks == {"walk": 0, "blowup": 3}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert json.loads(out.getvalue())["xi"] == enc_scalar(eps)
+    assert walks == {"walk": 1, "blowup": 4}
 
 
 def test_cli_infinitesimal_blows_up_once_and_walks_once(counts, walks):
@@ -370,7 +405,7 @@ def test_moving_seshadri_on_the_negative_locus_of_a_class_not_nef(
 def test_xi_and_moving_seshadri_run_one_lp_and_one_fixpoint(
         counts, query, name, value):
     """The base decomposition decides bigness and the negative locus, and
-    the walk on the blow-up starts from its pullback: no second fixpoint.
+    xi reads its pulled-back positive part: no second fixpoint.
     The nef class -K needs no decomposition at all.  -K + 2E1 needs one;
     its positive part -K + E1 gives the value 2 on both models."""
     m = sp.builtin(name)
@@ -407,8 +442,7 @@ def test_second_query_at_a_point_builds_no_blow_up(validations, query):
 
 @pytest.mark.parametrize("query", [sp.xi, sp.moving_seshadri])
 def test_xi_builds_no_vertices(vertices, query):
-    """xi is read off the pieces of the walk at the generic y and at each
-    special direction; no polygon vertices are built."""
+    """xi is read off the curve table; no polygon vertices are built."""
     m = sp.builtin("bl3p2")
     query(m, anti_canonical(m))
     assert vertices["vertices"] == 0
@@ -419,14 +453,14 @@ def test_xi_builds_no_vertices(vertices, query):
     ("bl4p2", lambda m, d: sp.moving_seshadri(m, d).value, None, 2),
 ], ids=["xi", "moving-seshadri"])
 def test_xi_builds_no_polygon(polygons, name, query, d, value):
-    """xi is read off the walk's integer pieces at the generic y and at
-    each special direction: no NOPolygon, where one polygon for the
-    generic y and one per direction made 4 and 6.  The walk runs its two
-    chambers, the one at t = 0 and the one past the wall.  d = None is
-    -K."""
+    """xi is the nef threshold of pi*P - tE, read off the curve table: no
+    NOPolygon, where one polygon for the generic y and one per direction
+    made 4 and 6, and no chamber, where the walk built its two, the one at
+    t = 0 and the one past the wall.  Both classes are nef on a complete
+    base, so no fixpoint runs either.  d = None is -K."""
     m = sp.builtin(name)
     assert query(m, anti_canonical(m) if d is None else d) == value
-    assert polygons == {"polygon": 0, "chamber": 2}
+    assert polygons == {"polygon": 0, "chamber": 0}
 
 
 def test_cli_infinitesimal_builds_one_vertex_set(vertices):

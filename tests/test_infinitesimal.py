@@ -1,11 +1,15 @@
 import copy
+import io
+import json
 import pickle
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import surfpos as sp
-from surfpos import infinitesimal, okounkov, zariski
+from surfpos import infinitesimal, zariski
+from surfpos.cli import main
 from surfpos.errors import (
     InconsistentMultiplicities,
     ModelInconsistency,
@@ -600,23 +604,37 @@ def test_lowerbound_equivalences():
                        for poly in polys)
 
 
-def test_xi_checks_every_direction(monkeypatch):
-    """xi is taken at a generic y and re-checked at each special direction,
-    both off the pieces of the walk; a direction that disagrees is
-    reported as inconsistent model data."""
-    real = okounkov._inverted_simplex
-    calls = []
+def test_xi_checks_every_direction(monkeypatch, tmp_path):
+    """xi is the nef threshold of pi*P - tE only when no curve of N(pi*D)
+    meets E off Neg(D): such a curve would raise alpha at its direction.
+    A decomposition that wrongly puts L12, which meets E, into N is
+    reported as inconsistent model data by xi and by the moving Seshadri
+    constant, and the CLI reports xi as null.  D = 2H - E1 - E2 + E3 has
+    L12 in its null locus, so L12 enters the walk's first chamber anyway:
+    the polygon does not change, and only this check can tell."""
+    m = sp.builtin("bl3p2")
+    d, x = (2, -1, -1, 1), BlowupSpec(mults={"L12": 1})
+    (tmp_path / "point.json").write_text('{"mults": {"L12": 1}}')
 
-    def disagreeing(nu, mu, bounds):
-        calls.append(bounds)
-        # the first call is the generic y, every later one a direction
-        return real(nu, mu, bounds) + (1 if len(calls) > 1 else 0)
+    def cli():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["infinitesimal", "--model", "builtin:bl3p2",
+                         "--divisor", "2H-E1-E2+E3",
+                         "--point", str(tmp_path / "point.json")]) == 0
+        return json.loads(out.getvalue())
 
-    monkeypatch.setattr(okounkov, "_inverted_simplex", disagreeing)
-    with pytest.raises(ModelInconsistency,
-                       match="xi depends on the direction"):
-        sp.xi(sp.builtin("bl3p2"), (3, -1, -1, -1))
-    assert len(calls) == 2
+    assert sp.xi(m, d, x) == 0
+    doc = cli()
+    assert doc["xi"] == "0"
+    real = infinitesimal._pulled_back_start
+    monkeypatch.setattr(infinitesimal, "_pulled_back_start",
+                        lambda *a: real(*a) | {"L12": Fraction(1, 2)})
+    for query in (sp.xi, sp.moving_seshadri):
+        with pytest.raises(ModelInconsistency,
+                           match="xi depends on the direction L12"):
+            query(m, d, x)
+    assert cli() == doc | {"xi": None}
 
 
 def test_pullback_pairing_preserved():

@@ -86,6 +86,7 @@ from conftest import (
     MATRIX_MODELS,
     assert_breakpoint_oracle,
     fraction_quadratic_root,
+    harbourne_decompose,
     neg_curves_through,
     random_big,
     random_pseff,
@@ -546,22 +547,35 @@ def test_integer_signs_equal_the_pairing_definitions(base):
             and pairing(bm, c.cls, e) >= 1]
 
 
-@pytest.mark.parametrize("base", ["p2"] + [f"bl{r}p2" for r in range(1, 6)])
+def xi_oracle_points(model) -> list[BlowupSpec]:
+    """The generic point, the points of E1, of L12 and of both, of C0 and
+    of C0 and f, and of E, where the model has those curves, and the
+    tangent blow-up at a point of E."""
+    points = [GENERIC_POINT] + [
+        BlowupSpec(mults=dict.fromkeys(names, 1))
+        for names in (("E1",), ("L12",), ("E1", "L12"), ("C0",),
+                      ("C0", "f"), ("E",))
+        if all(model.has_curve(n) for n in names)]
+    if model.has_curve("E"):
+        points.append(point_on_exceptional_spec(model))
+    return points
+
+
+@pytest.mark.parametrize("base", ["p2"] + [f"bl{r}p2" for r in range(1, 8)]
+                         + ["hirzebruch-2", "hirzebruch-5",
+                            "example-interesting-base"])
 def test_xi_equals_the_inverted_simplex_of_the_walk_polygons(base):
-    """The route xi took before it read the walk's pieces is its oracle:
-    the largest inverted simplex of the walk's NOPolygon at the generic y
-    and at each special direction.  Where they agree, xi and a positive
-    moving Seshadri constant equal it; where they differ, xi refuses the
-    model data.  On random big classes and on them times SCALE, at the
-    generic point and at points of E1 and of L12 where the model has
-    them."""
+    """The route xi took before it read the nef threshold of pi*P - tE is
+    its oracle: the largest inverted simplex of the walk's NOPolygon at the
+    generic y and at each special direction.  Where they agree, xi and a
+    positive moving Seshadri constant equal it; where they differ, xi
+    refuses the model data.  On random big classes and on them times
+    SCALE, at the points of :func:`xi_oracle_points`."""
     model = sp.builtin(base)
     rng = seeded_rng(f"xi-walk-{base}")
     classes = [random_big(model, rng) for _ in range(3)]
-    points = [GENERIC_POINT] + [BlowupSpec(mults={n: 1})
-                                for n in ("E1", "L12") if model.has_curve(n)]
     for d in classes + [tuple(x * SCALE for x in d) for d in classes]:
-        for x in points:
+        for x in xi_oracle_points(model):
             b = _blown_up(model, d, x)
             if b.exc in b.pair.N_coeffs:
                 with pytest.raises(PointInNegLocus):
@@ -582,6 +596,24 @@ def test_xi_equals_the_inverted_simplex_of_the_walk_polygons(base):
             moving = sp.moving_seshadri(model, d, x)
             if moving.status is sp.SeshadriStatus.POSITIVE:
                 assert moving.value == values[0], (base, d, x)
+
+
+@pytest.mark.parametrize("base", [f"bl{r}p2" for r in range(4, 8)])
+def test_polygon_area_is_half_the_volume_off_toric_models(base):
+    """The paper's area law, area = vol/2, on del Pezzo models that are
+    not toric: the polygons of random big classes for the flags (E1, x)
+    and (L12, x) at a generic point x of the flag curve, against P^2/2
+    with P from Harbourne's W(E_r) reduction, which shares no code with
+    the LP, the fixpoint or the walk."""
+    model = sp.builtin(base)
+    rng = seeded_rng(f"area-{base}")
+    for d in [random_big(model, rng) for _ in range(3)]:
+        p = harbourne_decompose(model, d).P
+        for flag in ("E1", "L12"):
+            poly = sp.okounkov_polygon(model, d, flag,
+                                       PointSpec(on_curve=flag, generic=True))
+            assert okounkov.polygon_area(poly) == pairing(model, p, p) / 2, \
+                (base, d, flag)
 
 
 @st.composite
