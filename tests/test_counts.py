@@ -7,10 +7,9 @@ a nef class on a complete base with no LP and no fixpoint, that xi,
 moving Seshadri constants and Seshadri constants run no walk and build no
 chamber, polygon or vertices, reading the pulled-back decomposition,
 while the CLI's infinitesimal polygon walks once, that a second query at
-a point
-builds no blow-up, that a polygon builds its vertices only when they are
-read, that pairings with the curve list read the model's curve table,
-that the blown-up queries, the Seshadri constant and the ample
+a point builds no blow-up, that a polygon builds its vertices only when
+they are read, that pairings with the curve list read the model's curve
+table, that the blown-up queries, the Seshadri constant and the ample
 perturbation decide their signs on that integer table, with no Fraction
 per curve, and that the LP's pivots do not follow the order of the
 curves."""
