@@ -212,8 +212,8 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
         return PointSpec(on_curve=exc, generic=True)
     if not bm.has_curve(y.on):
         raise InconsistentMultiplicities(f"no curve named {y.on!r}")
-    meet = int_pairing(bm, bm.curve(y.on).cls, bm.curve(exc).cls)
-    if meet < y.mult or y.mult < 1:
+    # E is the last basis vector, E^2 = -1, orthogonal to the base
+    if -bm.curve(y.on).cls[-1] < y.mult or y.mult < 1:
         raise InconsistentMultiplicities(
             f"{y.on} does not meet the exceptional curve with "
             f"multiplicity {y.mult}")
@@ -234,21 +234,24 @@ class _BlownUp(NamedTuple):
         return okounkov._walk_from(self.model, self.up, self.exc,
                                    self.pair.N_coeffs)
 
-    def xi(self) -> ExactScalar:
-        """xi at x off the negative locus (E not in N), with no walk."""
-        num, den = scaled(self.pair.P)
-        return _nef_threshold(self.model, num, den, self.exc,
-                              self.pair.N_coeffs)
+    def xi(self) -> Optional[ExactScalar]:
+        """xi at x with no walk: the nef threshold of P(pi*D) - tE, or
+        None when x is in Neg(D), that is E has a coefficient in N(pi*D)."""
+        if self.exc in self.pair.N_coeffs:
+            return None
+        return _nef_threshold(self.model, self.pair.P, self.pair.N_coeffs)
 
 
-def _nef_threshold(bm: SurfaceModel, num: Sequence[int], den: int,
-                   exc: str, negative=()) -> ExactScalar:
-    """Nef threshold of P - tE on the blow-up bm, P = num/den nef with
-    P.E = 0: the least of sqrt(P^2) and (P.C)/(C.E) over the listed C != E
-    with C.E > 0, on the integer curve table.  For P = P(pi*D) off Neg(D)
-    it is xi: on the walk's first chamber N_t is N(pi*D) = ``negative``,
-    which misses E, so alpha = 0 and beta(t) = t, and past it beta(t) < t.
-    A curve of ``negative`` meeting E makes xi depend on the direction."""
+def _nef_threshold(bm: SurfaceModel, p: Sequence,
+                   negative=()) -> ExactScalar:
+    """Nef threshold of P - tE on a blow-up bm, P nef with P.E = 0: the
+    least of sqrt(P^2) and (P.C)/(C.E) over the listed C with C.E > 0, on
+    the integer curve table.  E is bm's last basis vector, so C.E is
+    -C.cls[-1], and -1 for E itself.  For P = P(pi*D) off Neg(D) it is xi:
+    on the walk's first chamber N_t is N(pi*D) = ``negative``, which
+    misses E, so alpha = 0 and beta(t) = t, and past it beta(t) < t.  A
+    curve of ``negative`` meeting E makes xi depend on the direction."""
+    num, den = scaled(p)
     # sqrt(P^2) = c*sqrt(P'^2) for P = c*P' with P' integral and primitive,
     # as in the chamber walk: the root of kP factors no k^2
     g = math.gcd(*num) or 1
@@ -257,14 +260,14 @@ def _nef_threshold(bm: SurfaceModel, num: Sequence[int], den: int,
                          * rational_sqrt(int_pairing(bm, prim, prim)))
     # the least (P.C)/m, m = C.E > 0, compared on integers
     ups, least = bm.curve_dots(num), None
-    for n, m in bm.curve_dots(bm.curve(exc).cls).items():
-        if n == exc or m <= 0:
+    for c in bm.curves:
+        if (m := -c.cls[-1]) <= 0:
             continue
-        if n in negative:
+        if c.name in negative:
             raise ModelInconsistency(
-                f"xi depends on the direction {n}; model data is wrong")
-        if least is None or ups[n] * least[1] < least[0] * m:
-            least = ups[n], m
+                f"xi depends on the direction {c.name}; model data is wrong")
+        if least is None or ups[c.name] * least[1] < least[0] * m:
+            least = ups[c.name], m
     if least is not None:
         best = min(best, Fraction(least[0], least[1] * den))
     return best
@@ -340,11 +343,11 @@ def xi(model: SurfaceModel, d: Sequence,
     infinitesimal polygon at x; independent of the point y on E.  It is
     the nef threshold of pi*P - tE, with no walk."""
     b = _blown_up(model, d, x, what="xi")
-    if b.exc in b.pair.N_coeffs:
+    if (value := b.xi()) is None:
         through = [n for n in exceptional_directions(b.model, b.exc)
                    if n in b.pair.N_coeffs]
         raise PointInNegLocus(f"point lies on negative curves {through}")
-    return b.xi()
+    return value
 
 
 def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
@@ -356,7 +359,7 @@ def _polygon_and_xi(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     b = _blown_up(model, d, x, y)
     poly = b.walk().polygon(b.point)
     try:
-        return poly, None if b.exc in b.pair.N_coeffs else b.xi()
+        return poly, b.xi()
     except ModelInconsistency:
         return poly, None
 
@@ -377,10 +380,9 @@ def moving_seshadri(model: SurfaceModel, d: Sequence,
     """Moving Seshadri constant of a big class at x, as a tagged status:
     on the negative locus, on the null locus only (value zero: P pairs to
     0 with a curve meeting E), or positive with value xi."""
-    b = _blown_up(model, d, x, what="moving Seshadri constant")
-    if b.exc in b.pair.N_coeffs:
+    value = _blown_up(model, d, x, what="moving Seshadri constant").xi()
+    if value is None:
         return MovingSeshadri(SeshadriStatus.IN_NEG)
-    value = b.xi()
     return MovingSeshadri(SeshadriStatus.POSITIVE if value != 0
                           else SeshadriStatus.IN_NULL_NOT_NEG, value)
 

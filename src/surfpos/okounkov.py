@@ -277,22 +277,16 @@ def polygon_interior_contains(poly: NOPolygon, pt: Point) -> bool:
     return poly.nu < t < poly.mu and poly.alpha(t) < y < poly.beta(t)
 
 
-def _alpha_zero_prefix(mu: ExactScalar, pieces: Sequence[PolygonPiece]
-                       ) -> ExactScalar:
+def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
     """sup of the initial interval on which alpha vanishes identically."""
-    for p in pieces:
+    for p in poly.pieces:
         v, a1 = _ev(p.alpha, p.t_lo), p.alpha[1]
         if v < 0 or v == 0 and a1 < 0:
             raise ModelInconsistency(
                 "alpha went negative" if v < 0 else "alpha decreasing")
         if v or a1:
             return p.t_lo
-    return mu
-
-
-def alpha_zero_prefix(poly: NOPolygon) -> ExactScalar:
-    """sup of the initial interval on which alpha vanishes identically."""
-    return _alpha_zero_prefix(poly.mu, poly.pieces)
+    return poly.mu
 
 
 def largest_simplex(poly: NOPolygon) -> ExactScalar:
@@ -311,18 +305,11 @@ def largest_simplex(poly: NOPolygon) -> ExactScalar:
 
 def largest_inverted_simplex(poly: NOPolygon) -> ExactScalar:
     """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon."""
-    return _inverted_simplex(poly.nu, poly.mu, poly.pieces)
-
-
-def _inverted_simplex(nu: Fraction, mu: ExactScalar,
-                      pieces: Sequence[PolygonPiece]) -> ExactScalar:
-    """Largest xi with {0 <= t <= xi, 0 <= y <= t} inside the polygon on
-    [nu, mu] with boundary pieces ``pieces``."""
-    if nu != 0:
+    if poly.nu != 0:
         return Fraction(0)
-    t_alpha = _alpha_zero_prefix(mu, pieces)
-    t_beta: ExactScalar = mu
-    for p in pieces:
+    t_alpha = alpha_zero_prefix(poly)
+    t_beta: ExactScalar = poly.mu
+    for p in poly.pieces:
         # beta(t) - t = b0 + t*(b1 - 1): negative at t_lo, or falling to 0
         # at b0/(1 - b1) inside the piece
         b0, b1 = p.beta

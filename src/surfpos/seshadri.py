@@ -20,7 +20,7 @@ from .lattice import (
     SurfaceModel,
     pairing,
 )
-from .scalars import ExactScalar, scaled, vector
+from .scalars import ExactScalar, vector
 
 
 def seshadri_direct(model: SurfaceModel, a: Sequence,
@@ -28,19 +28,18 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     """Nef threshold of pullback(A) - t*E on the blow-up at x.
 
     The minimum of (A . C) / mult_x(C) over the declared curves through x
-    (read off the blow-up records pairing positively with E), capped by
-    sqrt(A^2), where the pulled-back class stops being in the positive
+    (the blow-up records C with C . E = -C's last coordinate > 0), capped
+    by sqrt(A^2), where the pulled-back class stops being in the positive
     cone.  The threshold routine is the one that gives xi and moving
-    Seshadri constants, applied to pi*A, its own positive part.
+    Seshadri constants, applied to pullback(A), its own positive part.
     """
     from . import infinitesimal, zariski
 
     a = model.divisor(a)
     if not zariski.is_nef(model, a):
         raise NotNef("Seshadri constants need a nef class")
-    bm, _, exc = infinitesimal.blow_up(model, x)
-    num, den = scaled(a)
-    return infinitesimal._nef_threshold(bm, [*num, 0], den, exc)
+    bm, pullback, _ = infinitesimal.blow_up(model, x)
+    return infinitesimal._nef_threshold(bm, pullback(a))
 
 
 def largest_simplex_flag(model: SurfaceModel, a: Sequence, flag_curve: str,

@@ -9,7 +9,8 @@ chamber, polygon or vertices, reading the pulled-back decomposition,
 while the CLI's infinitesimal polygon walks once, that a second query at
 a point builds no blow-up, that a polygon builds its vertices only when
 they are read, that pairings with the curve list read the model's curve
-table, that the blown-up queries, the Seshadri constant and the ample
+table, that a nef threshold walks that table twice and reads C.E off
+C's class, that the blown-up queries, the Seshadri constant and the ample
 perturbation decide their signs on that integer table, with no Fraction
 per curve, and that the LP's pivots do not follow the order of the
 curves."""
@@ -590,6 +591,43 @@ def test_seshadri_and_perturbation_read_signs_on_integers(curve_pairings):
     assert zariski.ample_perturbation(sp.builtin("bl1p2"), (1, 0)) == \
         ({"E": 1}, Fraction(1, 2))
     assert curve_pairings == {"curve_pairings": 0}
+
+
+@pytest.fixture
+def curve_dots(monkeypatch):
+    """Count calls of SurfaceModel.curve_dots: walks of a curve table."""
+    n = {"curve_dots": 0}
+    real = lattice.SurfaceModel.curve_dots
+
+    def counted(self, num):
+        n["curve_dots"] += 1
+        return real(self, num)
+
+    monkeypatch.setattr(lattice.SurfaceModel, "curve_dots", counted)
+    return n
+
+
+@pytest.mark.parametrize("name, query, d, x, value", [
+    ("bl3p2", sp.xi, "4H-E1-E2-E3", None, 3),
+    ("bl3p2", sp.xi, "4H-E1-E2-E3", {"L12": 1}, 2),
+    ("bl5p2", lambda m, d, x: sp.moving_seshadri(m, d, x).value, None, None,
+     2),
+    ("bl6p2", seshadri.seshadri_direct, None, None, Fraction(3, 2)),
+], ids=["xi", "xi-on-l12", "moving-seshadri", "seshadri-direct"])
+def test_nef_threshold_walks_the_curve_table_once(curve_dots, name, query,
+                                                   d, x, value):
+    """A nef threshold query walks two curve tables: the base's, for the
+    nef test of D, and the blow-up's, for the pairings of P.  C.E is
+    minus C's last coordinate on the blow-up, so no table is walked for
+    E, where a third walk was.  d = None is -K; x = None is the generic
+    point."""
+    m = sp.builtin(name)
+    d = anti_canonical(m) if d is None else parse_divisor(d, m)
+    x = BlowupSpec() if x is None else BlowupSpec(mults=x)
+    infinitesimal.blow_up(m, x)
+    curve_dots["curve_dots"] = 0
+    assert query(m, d, x) == value
+    assert curve_dots == {"curve_dots": 2}
 
 
 def test_decomposition_pairs_only_through_the_curve_table(pairings):

@@ -598,7 +598,7 @@ def test_xi_equals_the_inverted_simplex_of_the_walk_polygons(base):
                 assert moving.value == values[0], (base, d, x)
 
 
-@pytest.mark.parametrize("base", [f"bl{r}p2" for r in range(4, 8)])
+@pytest.mark.parametrize("base", [f"bl{r}p2" for r in range(4, 9)])
 def test_polygon_area_is_half_the_volume_off_toric_models(base):
     """The paper's area law, area = vol/2, on del Pezzo models that are
     not toric: the polygons of random big classes for the flags (E1, x)

@@ -14,6 +14,18 @@ negative curve but D_j and D_l.
 
 The polygons of random big classes, some of them not nef, on every flag
 of a listed curve must have the oracle's vertices, and area vol/2.
+
+The same proposition gives the infinitesimal polygons at a torus-fixed
+point x = D_j cap D_l.  The blow-up at x is toric with the new ray
+v_j + v_l, and pi*D = sum a_i D~_i + (a_j + a_l) E, so the polygon of the
+flag (E, E cap D~_j) is the image of P_D under
+m -> (<m, v_j + v_l> + a_j + a_l, <m, v_j> + a_j).  In the coordinates
+p = <m, v_j> + a_j, q = <m, v_l> + a_l of the vertex of x, the inverted
+simplex of size s is {p, q >= 0, p + q <= s}.  So xi is the lesser lattice
+length of P_D's two edges at that vertex, which for ample D is the
+Seshadri constant at x (Di Rocco, *Generation of k-jets on toric
+varieties*, Math. Z. 231, 1999), and x lies on the negative locus exactly
+when that vertex is not in P_D.
 """
 
 from __future__ import annotations
@@ -23,8 +35,9 @@ from fractions import Fraction
 import pytest
 
 import surfpos as sp
-from surfpos.lattice import PointSpec
-from surfpos.okounkov import polygon_area
+from surfpos.errors import PointInNegLocus
+from surfpos.lattice import BlowupSpec, InfFlagSpec, PointSpec
+from surfpos.okounkov import largest_inverted_simplex, polygon_area
 
 from conftest import seeded_rng
 
@@ -150,3 +163,47 @@ def test_polygons_are_the_toric_moment_polygons():
                 assert polygon_area(poly) == half_vol, (name, d, j, l)
     # 23 of the 45 classes are not nef
     assert not_nef >= 20
+
+
+@pytest.mark.parametrize("name", ["bl2p2", "bl3p2", "hirzebruch-0",
+                                  "hirzebruch-1", "hirzebruch-3"])
+def test_infinitesimal_invariants_at_fixed_points_are_toric(name):
+    """At every torus-fixed point of two listed curves, with y on either:
+    the infinitesimal polygon is the sheared moment polygon, mu' its
+    largest first coordinate, xi the lesser edge length at the vertex of
+    x (largest_inverted_simplex of the polygon), and for ample D the
+    Seshadri constant is that length too."""
+    rng = seeded_rng(f"toric-fixed-{name}")
+    model = sp.builtin(name)
+    rays, coeffs = FANS[name]
+    vs, classes = [r[0] for r in rays], [r[2] for r in rays]
+    for d in big_classes(model, classes, rng, 3):
+        a = coeffs(d)
+        moment = moment_vertices(vs, a)
+        for j in range(len(rays)):
+            l = (j + 1) % len(rays)
+            cj, cl = rays[j][1], rays[l][1]
+            if cj is None or cl is None:
+                continue
+            x = BlowupSpec(mults={cj: 1, cl: 1})
+            local = {(dot(m, vs[j]) + a[j], dot(m, vs[l]) + a[l])
+                     for m in moment}
+            # the second coordinate is the order along the curve of y:
+            # p on D~_j, q on D~_l
+            for y, second in [(cj, 0), (cl, 1)]:
+                want = {(p + q, (p, q)[second]) for p, q in local}
+                poly = sp.infinitesimal_polygon(model, d, x, InfFlagSpec(y))
+                assert set(poly.vertices) == want, (name, d, j, y)
+            assert sp.mu_prime(model, d, x) == max(t for t, _ in want)
+            if (0, 0) not in local:
+                with pytest.raises(PointInNegLocus):
+                    sp.xi(model, d, x)
+                assert sp.moving_seshadri(model, d, x).status is \
+                    sp.SeshadriStatus.IN_NEG
+                continue
+            edge = min(max(q for p, q in local if p == 0),
+                       max(p for p, q in local if q == 0))
+            assert sp.xi(model, d, x) == edge == \
+                largest_inverted_simplex(poly), (name, d, j)
+            if sp.is_ample(model, d):
+                assert sp.seshadri_direct(model, d, x) == edge, (name, d, j)
