@@ -7,8 +7,11 @@ arithmetic, for surfaces presented as finite intersection-lattice models.
 Importing the package loads none of its modules: each exported name is
 looked up in its module on first use (PEP 562), and is not bound here, so
 ``surfpos.is_big`` always reads ``surfpos.zariski.is_big`` as it is now.
+A module already imported is read from ``sys.modules``, with no call of
+the import machinery.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 
 _EXPORTS = {
@@ -79,12 +82,18 @@ __version__ = "0.1.0"
 __all__ = sorted([*_EXPORTS, *_MODULE_OF])
 
 
+def _module(mod: str):
+    try:
+        return _sys.modules[f"{__name__}.{mod}"]
+    except KeyError:
+        return _import_module(f".{mod}", __name__)
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return _import_module(f".{name}", __name__)
+        return _module(name)
     if name in _MODULE_OF:
-        module = _import_module(f".{_MODULE_OF[name]}", __name__)
-        return getattr(module, name)
+        return getattr(_module(_MODULE_OF[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -29,6 +29,7 @@ from . import okounkov, scalars, zariski
 from .errors import (
     InconsistentMultiplicities,
     ModelInconsistency,
+    NoRealRoot,
     NotBig,
     PointInNegLocus,
 )
@@ -46,7 +47,7 @@ from .lattice import (
     validate_model,
 )
 from .okounkov import NOPolygon
-from .scalars import ExactScalar, rational_sqrt, scaled
+from .scalars import ExactScalar, scaled
 
 
 def point_on_exceptional_spec(model: SurfaceModel) -> BlowupSpec:
@@ -222,13 +223,15 @@ def _flag_point(bm: SurfaceModel, exc: str, y: InfFlagSpec) -> PointSpec:
 
 class _BlownUp(NamedTuple):
     """x blown up for one class D: the blow-up, its exceptional curve E,
-    the flag point on E (None if no y was asked), pi*D, and its P and N."""
+    the flag point on E (None if no y was asked), pi*D, its P and N, and
+    P as an integer numerator over a positive denominator."""
 
     model: SurfaceModel
     exc: str
     point: Optional[PointSpec]
     up: DivisorClass
     pair: zariski.ZariskiPair
+    p_scaled: tuple[list[int], int]
 
     def walk(self) -> okounkov.Walk:
         return okounkov._walk_from(self.model, self.up, self.exc,
@@ -239,25 +242,28 @@ class _BlownUp(NamedTuple):
         None when x is in Neg(D), that is E has a coefficient in N(pi*D)."""
         if self.exc in self.pair.N_coeffs:
             return None
-        return _nef_threshold(self.model, self.pair.P, self.pair.N_coeffs)
+        return _nef_threshold(self.model, *self.p_scaled,
+                              self.pair.N_coeffs)
 
 
-def _nef_threshold(bm: SurfaceModel, p: Sequence,
+def _nef_threshold(bm: SurfaceModel, num: Sequence[int], den: int,
                    negative=()) -> ExactScalar:
-    """Nef threshold of P - tE on a blow-up bm, P nef with P.E = 0: the
-    least of sqrt(P^2) and (P.C)/(C.E) over the listed C with C.E > 0, on
-    the integer curve table.  E is bm's last basis vector, so C.E is
-    -C.cls[-1], and -1 for E itself.  For P = P(pi*D) off Neg(D) it is xi:
-    on the walk's first chamber N_t is N(pi*D) = ``negative``, which
-    misses E, so alpha = 0 and beta(t) = t, and past it beta(t) < t.  A
-    curve of ``negative`` meeting E makes xi depend on the direction."""
-    num, den = scaled(p)
-    # sqrt(P^2) = c*sqrt(P'^2) for P = c*P' with P' integral and primitive,
-    # as in the chamber walk: the root of kP factors no k^2
+    """Nef threshold of P - tE on a blow-up bm, P = num/den nef with
+    P.E = 0, num integral and den > 0: the least of sqrt(P^2) and
+    (P.C)/(C.E) over the listed C with C.E > 0, on the integer curve
+    table.  E is bm's last basis vector, so C.E is -C.cls[-1], and -1 for
+    E itself.  The cap is compared with each curve ratio on integers, and
+    a Quad is built only when the cap is the answer.  For P = P(pi*D) off
+    Neg(D) it is xi: on the walk's first chamber N_t is N(pi*D) =
+    ``negative``, which misses E, so alpha = 0 and beta(t) = t, and past
+    it beta(t) < t.  A curve of ``negative`` meeting E makes xi depend on
+    the direction."""
+    # sqrt(P^2) = g*sqrt(s)/den, s = P'^2 for P' = num/g integral and
+    # primitive, as in the chamber walk: the root of kP factors no k^2
     g = math.gcd(*num) or 1
     prim = [v // g for v in num]
-    best: ExactScalar = (Fraction(g, den)
-                         * rational_sqrt(int_pairing(bm, prim, prim)))
+    if (s := int_pairing(bm, prim, prim)) < 0:
+        raise NoRealRoot(f"negative radicand {s}")
     # the least (P.C)/m, m = C.E > 0, compared on integers
     ups, least = bm.curve_dots(num), None
     for c in bm.curves:
@@ -268,9 +274,13 @@ def _nef_threshold(bm: SurfaceModel, p: Sequence,
                 f"xi depends on the direction {c.name}; model data is wrong")
         if least is None or ups[c.name] * least[1] < least[0] * m:
             least = ups[c.name], m
+    # a/(m*den) is not above g*sqrt(s)/den iff a < 0 or a^2 <= g^2*s*m^2;
+    # on a tie the cap is rational and equal to the ratio
     if least is not None:
-        best = min(best, Fraction(least[0], least[1] * den))
-    return best
+        a, m = least
+        if a < 0 or a * a <= g * g * s * m * m:
+            return Fraction(a, m * den)
+    return scalars.quad(0, Fraction(g, den), s)
 
 
 def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
@@ -293,18 +303,19 @@ def _blown_up(model: SurfaceModel, d: Sequence, x: BlowupSpec,
     point = None if y is None else _flag_point(bm, exc, y)
     up = pullback(d)
     base = model.completeness_declared and model.effective_generators is None
-    if base and zariski.is_nef(model, d):
-        num = scaled(d)[0]
+    num, den = scaled(d)
+    if base and zariski._positive(model, num, strict=False):
         if int_pairing(model, num, num) == 0:
             raise NotBig(f"{what} needs a big class")
-        return _BlownUp(bm, exc, point, up, zariski.ZariskiPair(up, {}, ()))
+        return _BlownUp(bm, exc, point, up, zariski.ZariskiPair(up, {}, ()),
+                        ([*num, 0], den))
     pair = zariski.big_decomposition(*((model, d) if base else (bm, up)))
     if pair is None:
         raise NotBig(f"{what} needs a big class")
     if base:
         n = _pulled_back_start(pair, x, exc)
         pair = zariski.ZariskiPair(pullback(pair.P), n, tuple(n))
-    return _BlownUp(bm, exc, point, up, pair)
+    return _BlownUp(bm, exc, point, up, pair, scaled(pair.P))
 
 
 def _pulled_back_start(pair: zariski.ZariskiPair, x: BlowupSpec,

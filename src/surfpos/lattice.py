@@ -165,6 +165,13 @@ class SurfaceModel(_ModelFields):
         return {c.name: (c, tuple(sum(map(mul, row, c.cls))
                                   for row in self.gram)) for c in self.curves}
 
+    @cached_property
+    def _ample_row(self) -> tuple[int, ...]:
+        """The integer row gram . A, for A the ample reference scaled to
+        integers: d . A has the sign of its dot with d's numerator."""
+        num = scaled(self.ample_ref)[0]
+        return tuple(sum(map(mul, row, num)) for row in self.gram)
+
     def curve(self, name: str) -> CurveRecord:
         try:
             return self._curve_table[name][0]
@@ -229,8 +236,7 @@ class SurfaceModel(_ModelFields):
                 pass
             else:
                 return tuple(tuple(scaled(row)[0]) for row in inv), True
-        num = scaled(self.ample_ref)[0]
-        w = tuple(sum(map(mul, row, num)) for row in self.gram)
+        w = self._ample_row
         if all(sum(map(mul, w, g)) >= 0 for g in gens):
             return (w,), False
         return (), False
@@ -311,8 +317,7 @@ def validate_model(model: SurfaceModel) -> None:
         raise InvariantViolation("ample reference", "non-positive square")
     # A-perp has the integer basis w_j = a_i e_j - a_j e_i (j != i), where
     # a = gram . A and a_i != 0
-    num = scaled(model.ample_ref)[0]
-    a = [sum(map(mul, row, num)) for row in model.gram]
+    a = model._ample_row
     i = next(k for k, x in enumerate(a) if x)
     w = [[a[i] * (k == j) - a[j] * (k == i) for k in range(rho)]
          for j in range(rho) if j != i]

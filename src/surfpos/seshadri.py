@@ -20,7 +20,7 @@ from .lattice import (
     SurfaceModel,
     pairing,
 )
-from .scalars import ExactScalar, vector
+from .scalars import ExactScalar, scaled, vector
 
 
 def seshadri_direct(model: SurfaceModel, a: Sequence,
@@ -31,15 +31,16 @@ def seshadri_direct(model: SurfaceModel, a: Sequence,
     (the blow-up records C with C . E = -C's last coordinate > 0), capped
     by sqrt(A^2), where the pulled-back class stops being in the positive
     cone.  The threshold routine is the one that gives xi and moving
-    Seshadri constants, applied to pullback(A), its own positive part.
+    Seshadri constants, applied to pullback(A), its own positive part: A's
+    numerator, read once for the nef test and the threshold, with 0 on E.
     """
     from . import infinitesimal, zariski
 
-    a = model.divisor(a)
-    if not zariski.is_nef(model, a):
+    num, den = scaled(model.divisor(a))
+    if not zariski._positive(model, num, strict=False):
         raise NotNef("Seshadri constants need a nef class")
-    bm, pullback, _ = infinitesimal.blow_up(model, x)
-    return infinitesimal._nef_threshold(bm, pullback(a))
+    bm, _, _ = infinitesimal.blow_up(model, x)
+    return infinitesimal._nef_threshold(bm, [*num, 0], den)
 
 
 def largest_simplex_flag(model: SurfaceModel, a: Sequence, flag_curve: str,

@@ -177,24 +177,23 @@ def loci(model: SurfaceModel, d: Sequence) -> LocusReport:
                        relative=pair.relative)
 
 
-def _positive(model: SurfaceModel, d: Sequence, strict: bool) -> bool:
+def _positive(model: SurfaceModel, num: Sequence[int], strict: bool) -> bool:
     """Whether d^2, d.A for the ample reference A, and d.C for every listed
-    curve C are all >= 0, or all > 0 when ``strict``.  Each sign is read
-    on integers: d's numerator over a positive denominator."""
-    num = scaled(model.divisor(d))[0]
+    curve C are all >= 0, or all > 0 when ``strict``, for d = num/den with
+    num integral and den > 0: each sign is read on num."""
     ok = (0).__lt__ if strict else (0).__le__
     return (ok(int_pairing(model, num, num))
-            and ok(int_pairing(model, num, scaled(model.ample_ref)[0]))
+            and ok(sum(map(mul, model._ample_row, num)))
             and all(map(ok, model.curve_dots(num).values())))
 
 
 def is_nef(model: SurfaceModel, d: Sequence) -> bool:
-    return _positive(model, d, strict=False)
+    return _positive(model, scaled(model.divisor(d))[0], strict=False)
 
 
 def is_ample(model: SurfaceModel, d: Sequence) -> bool:
     """Nakai-Moishezon against the declared curve list."""
-    return _positive(model, d, strict=True)
+    return _positive(model, scaled(model.divisor(d))[0], strict=True)
 
 
 def volume(model: SurfaceModel, d: Sequence) -> Fraction:
@@ -225,9 +224,9 @@ def ample_perturbation(model: SurfaceModel, p: Sequence):
     a >= 0), and s is found by halving from 1 until the Nakai test passes.
     """
     p = model.divisor(p)
-    if not is_nef(model, p):
-        raise NotBigNef("perturbation needs a nef class")
     num = scaled(p)[0]
+    if not _positive(model, num, strict=False):
+        raise NotBigNef("perturbation needs a nef class")
     null = [n for n, v in model.curve_dots(num).items() if v == 0]
     if not null:
         if not is_ample(model, p):

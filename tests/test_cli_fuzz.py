@@ -10,7 +10,9 @@ The argv fuzz checks the rule for values that start with a minus sign:
 after ``--divisor``, ``--deg`` or ``--target``, or an abbreviation of one,
 a token that starts with one '-' is the value, read as after '=', and one
 that starts with '--' stays an option.  The subcommands that draw nothing
-refuse ``--svg`` and ``--csv`` wherever they stand (exit 2)."""
+refuse ``--svg`` and ``--csv`` wherever they stand (exit 2).  An option
+given more than once keeps the exit-code contract, and its last value
+is the one read."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import surfpos as sp
-from surfpos.cli import _COMMANDS, main, parse_divisor
+from surfpos.cli import _COMMANDS, _OPTIONS, main, parse_divisor
 from surfpos.errors import ParseError, UnknownSymbol
 from surfpos.models import model_to_dict
 
@@ -259,3 +261,65 @@ def test_subcommand_that_draws_nothing_refuses_svg_and_csv(
     drawn = [option, str(where / path) if path else path]
     assert outcome([command, *args[:at], *drawn, *args[at:]])[0] == 2
     assert list(where.iterdir()) == []
+
+
+# values to repeat each option of those subcommands with: read, refused
+# by the program (exit 1), a class or a rational that starts with '-', or
+# none, which argparse refuses (exit 2)
+REPEATS = {
+    "--model": ["builtin:bl2p2", "builtin:bl1p2", "builtin:nope"],
+    "--divisor": ["3H-E1-E2", "2H-E1", "-H", "Q", None],
+    "--flag-curve": ["E1", "L12", "Q"],
+    "--point": ["generic", "named:generic", "named:nope"],
+    "--json": ["-"],
+    "--deg": ["5", "9/2", "-5", "x", None],
+    "--target": ["1", "2", "-1"],
+    "--exclude-q1": [None],
+}
+
+
+def option_pairs(args: list[str]) -> list[tuple]:
+    """The (option, value) pairs of an argv tail; the value of a flag that
+    takes none is None."""
+    pairs = []
+    for tok in args:
+        if tok.startswith("--"):
+            pairs.append((tok, None))
+        else:
+            pairs[-1] = (pairs[-1][0], tok)
+    return pairs
+
+
+def flat(command: str, pairs) -> list[str]:
+    return [command, *(t for pair in pairs for t in pair if t is not None)]
+
+
+@st.composite
+def repeated_options(draw):
+    """A valid query with one to four more (option, value) pairs of its
+    subcommand put in anywhere, so that some option comes more than once."""
+    command = draw(st.sampled_from(DRAWS_NOTHING))
+    pairs = option_pairs(VALID_ARGS[command].split())
+    flags = [_OPTIONS[k][0] for k in _COMMANDS[command][1].split()]
+    extra = st.sampled_from(flags).flatmap(
+        lambda f: st.tuples(st.just(f), st.sampled_from(REPEATS[f])))
+    for pair in draw(st.lists(extra, min_size=1, max_size=4)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return command, pairs
+
+
+@SETTINGS
+@given(repeated_options())
+def test_argv_repeated_option_keeps_the_contract_and_its_last_value(case):
+    """Exit 0, 1 with a JSON error object, or 2.  Past argparse, that is
+    with every option given a value, the same code and bytes as the query
+    with only the last pair of each option."""
+    command, pairs = case
+    got = outcome(flat(command, pairs))
+    assert got[0] in (0, 1, 2)
+    if got[0] == 1:
+        assert isinstance(json.loads(got[2].splitlines()[-1]), dict)
+    if got[0] != 2:
+        last = list({option: (option, value)
+                     for option, value in pairs}.values())
+        assert got == outcome(flat(command, last))
